@@ -26,9 +26,9 @@ Commands
                artifact (built on the fly when ``--labels`` is omitted),
                with ALT-bound validation and ``--verify`` against Dijkstra.
 
-``run`` and ``batch`` accept ``--shards N`` (plus ``--partitioner P``) to
-execute through the sharded BSP driver — distances are bit-identical to the
-unsharded paths, so ``--verify`` still holds.
+``run`` accepts ``--shards N`` (plus ``--partitioner P``) to execute through
+the sharded BSP driver — distances are bit-identical to the unsharded path,
+so ``--verify`` still holds.
 
 ``run``/``batch``/``sweep``/``trace`` accept ``--metrics PATH`` to dump a
 metrics-registry snapshot (JSON by default; Prometheus text for ``.prom`` /
@@ -196,20 +196,14 @@ def _cmd_batch(args) -> int:
         raise ReproError(f"--sources must be comma-separated ints, got {args.sources!r}")
     if not sources:
         raise ReproError("--sources is empty")
-    engine = QueryEngine(
-        g, args.algo, args.param, mode=args.mode, seed=args.seed,
-        retries=args.retries, shards=args.shards, partitioner=args.partitioner,
-        refine=args.refine, pool_jobs=args.jobs, use_shm=args.shm,
-    )
-    with engine:
-        t0 = time.perf_counter()
-        dist = engine.query_batch(sources, deadline=args.deadline)
-        elapsed = time.perf_counter() - t0
-        transport = engine.stats().get("transport") or "local"
+    engine = QueryEngine(g, args.algo, args.param, seed=args.seed, retries=args.retries)
+    t0 = time.perf_counter()
+    dist = engine.query_batch(sources, deadline=args.deadline)
+    elapsed = time.perf_counter() - t0
     if args.verify:
         for i, s in enumerate(sources):
             ref = dijkstra_reference(g, s)
-            if not np.allclose(dist[i], ref, atol=1e-9, equal_nan=True):
+            if not np.array_equal(dist[i], ref):
                 raise ReproError(f"batch row for source {s} disagrees with Dijkstra")
         print(f"verified {len(sources)} rows against sequential Dijkstra")
     st = engine.stats()
@@ -219,18 +213,11 @@ def _cmd_batch(args) -> int:
         ["executed", st["executed"]],
         ["deduped", st["deduped"]],
         ["min reached/row", reached],
-        ["transport", transport],
         ["wall time", f"{elapsed * 1e3:.1f} ms"],
         ["throughput", f"{len(sources) / elapsed:.1f} queries/s"],
     ]
-    if args.jobs >= 2:
-        label = f"pooled[{args.jobs}]"
-    elif args.shards:
-        label = f"sharded[{args.shards}]"
-    else:
-        label = args.mode
     print(format_table(["metric", "value"], rows,
-                       title=f"{label} batch ({args.algo}) on {args.graph}"))
+                       title=f"batch ({args.algo}) on {args.graph}"))
     return 0
 
 
@@ -327,8 +314,6 @@ def _cmd_serve(args) -> int:
     engine = QueryEngine(
         g, args.algo, args.param, seed=args.seed, retries=args.retries,
         mode="p2p" if args.p2p else "fast",
-        shards=args.shards, partitioner=args.partitioner,
-        pool_jobs=args.jobs, use_shm=args.shm,
         labels_path=args.labels if args.p2p else None,
     )
     server = ShortestPathServer(
@@ -618,28 +603,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", default="rho",
                    help="rho, delta or bf (validated by the engine)")
     p.add_argument("--param", type=float, default=None, help="rho or delta")
-    p.add_argument("--mode", choices=["fast", "exact"], default="fast",
-                   help="fast = dense serving path; exact = lockstep metered replay")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--deadline", type=float, default=None,
                    help="per-batch deadline in seconds (default: unbounded)")
     p.add_argument("--retries", type=int, default=2,
                    help="execution retries on transient failure")
-    p.add_argument("--jobs", type=int, default=0,
-                   help="serve the batch through a pool of N worker processes "
-                        "(fast mode only; 0 = in-process)")
-    p.add_argument("--shm", action=argparse.BooleanOptionalAction, default=None,
-                   help="ship graphs/results to pool workers via shared memory "
-                        "(default: auto-detect; --no-shm forces pickle)")
     p.add_argument("--verify", action="store_true",
                    help="check every row against sequential Dijkstra")
-    p.add_argument("--shards", type=int, default=0,
-                   help="serve through the sharded BSP executor with N shards")
-    p.add_argument("--partitioner", choices=["contiguous", "degree", "fennel", "ldg"],
-                   default="contiguous", help="partition method for --shards")
-    p.add_argument("--refine", action=argparse.BooleanOptionalAction, default=True,
-                   help="fennel only: boundary-vertex refinement sweep after "
-                        "the streaming pass (default: on)")
     p.add_argument("--metrics", default=None, metavar="PATH",
                    help="write a metrics snapshot (.json, or .prom/.txt for "
                         "Prometheus text format)")
@@ -711,14 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default per-request deadline in seconds")
     p.add_argument("--retries", type=int, default=2,
                    help="engine execution retries on transient failure")
-    p.add_argument("--jobs", type=int, default=0,
-                   help="serve batches through a pool of N worker processes")
-    p.add_argument("--shm", action=argparse.BooleanOptionalAction, default=None,
-                   help="shared-memory transport for pooled serving")
-    p.add_argument("--shards", type=int, default=0,
-                   help="serve through the sharded BSP executor with N shards")
-    p.add_argument("--partitioner", choices=["contiguous", "degree", "fennel", "ldg"],
-                   default="contiguous", help="partition method for --shards")
     p.add_argument("--p2p", action="store_true",
                    help="build the label tier at startup and serve "
                         '{"source", "target"} requests in microseconds')

@@ -46,12 +46,10 @@ class SSSPResult:
         """Number of vertices with a finite distance."""
         return int(np.count_nonzero(np.isfinite(self.dist)))
 
-    def check_against(self, expected: np.ndarray, *, atol: float = 1e-9) -> None:
-        """Raise ``AssertionError`` unless distances match ``expected``."""
-        if not np.allclose(self.dist, expected, atol=atol, equal_nan=True):
-            bad = np.flatnonzero(
-                ~np.isclose(self.dist, expected, atol=atol, equal_nan=True)
-            )
+    def check_against(self, expected: np.ndarray) -> None:
+        """Raise ``AssertionError`` unless distances equal ``expected`` exactly."""
+        if not np.array_equal(self.dist, expected):
+            bad = np.flatnonzero(self.dist != expected)
             raise AssertionError(
                 f"{self.algorithm}: {len(bad)} distances differ "
                 f"(first at v={bad[0]}: got {self.dist[bad[0]]}, want {expected[bad[0]]})"

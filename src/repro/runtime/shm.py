@@ -1,22 +1,16 @@
-"""Zero-copy shared-memory execution plane for pooled SSSP.
+"""Zero-copy shared-memory graph plane for the process pools.
 
-The process pools pay two taxes that erase their parallel win on real
-batches: the CSR graph ships to every worker through pickle (or is silently
-re-shipped on every supervised-pool rebuild), and every result matrix comes
-home as a pickled ``(K, n)`` float64 blob.  This module removes both by
-mapping the data into ``multiprocessing.shared_memory`` segments:
-
-* :meth:`ShmManager.share_graph` copies a graph's CSR triple
-  (``indptr``/``indices``/``weights``) into named segments **once** per
-  :attr:`~repro.graphs.csr.Graph.fingerprint` and hands back a
-  :class:`SharedGraphHandle` — a tiny named-tuple-of-names that pickles in
-  O(1) regardless of graph size.  Workers call ``handle.attach()`` and get a
-  read-only :class:`~repro.graphs.csr.Graph` view over the *same* physical
-  pages (no copy, no hash recomputation: the fingerprint is seeded from the
-  handle).
-* :meth:`ShmManager.alloc` carves a preallocated float64 **result arena**
-  that workers attach writable and fill in place — the parent reads the rows
-  directly instead of unpickling them.
+Without it a process pool ships the CSR graph to every worker through
+pickle, and ships it again on every supervised-pool rebuild.  This module
+maps the graph into ``multiprocessing.shared_memory`` segments instead:
+:meth:`ShmManager.share_graph` copies a graph's CSR triple
+(``indptr``/``indices``/``weights``) into named segments **once** per
+:attr:`~repro.graphs.csr.Graph.fingerprint` and hands back a
+:class:`SharedGraphHandle` — a tiny named-tuple-of-names that pickles in
+O(1) regardless of graph size.  Workers call ``handle.attach()`` and get a
+read-only :class:`~repro.graphs.csr.Graph` view over the *same* physical
+pages (no copy, no hash recomputation: the fingerprint is seeded from the
+handle).
 
 Lifecycle rules (the part that keeps ``/dev/shm`` clean):
 
@@ -35,9 +29,8 @@ Lifecycle rules (the part that keeps ``/dev/shm`` clean):
   behind (pinned by the leak-check tests, the SIGINT subprocess test, and
   the in-bench leak assertion).
 
-Fallback: call sites (:class:`~repro.serving.pool.SweepPool`,
-:class:`~repro.serving.pool.BatchPool`, the sharded executor) probe
-:func:`shm_available` and degrade to the pickle path when shared memory is
+Fallback: call sites (:class:`~repro.serving.pool.SweepPool` and the
+sharded executor) probe :func:`shm_available` and degrade to the pickle path when shared memory is
 missing or registration fails, counting the event in ``shm.fallbacks``.
 
 Fault site: the first attach of a handle in a process fires ``shm.attach``
@@ -63,7 +56,7 @@ import numpy as np
 
 from repro.graphs.csr import Graph
 from repro.obs import OBS
-from repro.utils.errors import ExecutionError, ParameterError
+from repro.utils.errors import ExecutionError
 
 __all__ = [
     "SHM_PREFIX",
@@ -209,17 +202,15 @@ def _fire_attach_site() -> None:
 
 @dataclass(frozen=True)
 class SharedArrayHandle:
-    """O(1)-picklable reference to one shared ndarray.
+    """O(1)-picklable reference to one shared, read-only ndarray.
 
-    ``attach()`` maps the segment (cached per process) and returns a view;
-    read-only handles hand out non-writable views so workers cannot corrupt
-    a shared graph in place.
+    ``attach()`` maps the segment (cached per process) and returns a
+    non-writable view, so workers cannot corrupt a shared graph in place.
     """
 
     name: str
     shape: "tuple[int, ...]"
     dtype: str
-    readonly: bool = True
 
     @property
     def nbytes(self) -> int:
@@ -231,8 +222,7 @@ class SharedArrayHandle:
             _fire_attach_site()
         seg = _attach_segment(self.name)
         arr = np.ndarray(self.shape, dtype=np.dtype(self.dtype), buffer=seg.buf)
-        if self.readonly:
-            arr.flags.writeable = False
+        arr.flags.writeable = False
         return arr
 
 
@@ -338,7 +328,7 @@ class ShmManager:
             raise ShmUnavailable("ShmManager is closed")
         if self._pid != os.getpid():
             raise ShmUnavailable(
-                "ShmManager can only allocate/release in its creating process"
+                "ShmManager can only share/release in its creating process"
             )
 
     def _create_segment(self, nbytes: int) -> shared_memory.SharedMemory:
@@ -371,14 +361,13 @@ class ShmManager:
             OBS.registry.inc("shm.segments_unlinked")
             OBS.registry.set_gauge("shm.segments_live", len(self._segments))
 
-    def _share_array(self, array: np.ndarray, *, readonly: bool) -> SharedArrayHandle:
+    def _share_array(self, array: np.ndarray) -> SharedArrayHandle:
         array = np.ascontiguousarray(array)
         seg = self._create_segment(array.nbytes)
         if array.nbytes:
             np.ndarray(array.shape, dtype=array.dtype, buffer=seg.buf)[...] = array
         return SharedArrayHandle(
-            name=seg.name, shape=tuple(array.shape), dtype=array.dtype.str,
-            readonly=readonly,
+            name=seg.name, shape=tuple(array.shape), dtype=array.dtype.str
         )
 
     # -- graphs --------------------------------------------------------- #
@@ -400,7 +389,7 @@ class ShmManager:
         try:
             handles = {}
             for field in ("indptr", "indices", "weights"):
-                h = self._share_array(getattr(graph, field), readonly=True)
+                h = self._share_array(getattr(graph, field))
                 handles[field] = h
                 created.append(h.name)
         except Exception:
@@ -427,34 +416,6 @@ class ShmManager:
             del self._graphs[handle.fingerprint]
             for name in entry.segment_names:
                 self._unlink_segment(name)
-
-    # -- arenas --------------------------------------------------------- #
-
-    def alloc(
-        self, shape: "tuple[int, ...]", dtype="float64"
-    ) -> "tuple[SharedArrayHandle, np.ndarray]":
-        """Allocate a writable shared array (e.g. a distance/result arena).
-
-        Returns ``(handle, view)`` — the parent keeps the view, workers
-        attach the handle and write rows in place.  Free with :meth:`free`.
-        """
-        self._check_owner()
-        dtype = np.dtype(dtype)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        if nbytes < 0:
-            raise ParameterError(f"invalid arena shape {shape}")
-        seg = self._create_segment(nbytes)
-        view = np.ndarray(shape, dtype=dtype, buffer=seg.buf)
-        handle = SharedArrayHandle(
-            name=seg.name, shape=tuple(shape), dtype=dtype.str, readonly=False
-        )
-        return handle, view
-
-    def free(self, handle: "SharedArrayHandle | None") -> None:
-        """Unlink an arena allocated with :meth:`alloc`."""
-        if handle is None or self._closed or self._pid != os.getpid():
-            return
-        self._unlink_segment(handle.name)
 
     # -- lifecycle ------------------------------------------------------ #
 

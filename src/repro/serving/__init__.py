@@ -12,16 +12,14 @@ SSSP queries at wall-clock speed and keeps serving them when things break:
   ``(graph_id, algo, param, source)``.
 * :mod:`repro.serving.engine` — :class:`QueryEngine` front door with
   batch-aware admission (validation + in-flight dedup + cache
-  short-circuit), per-batch deadlines, bounded retries, a circuit breaker,
-  and exact→fast graceful degradation.
+  short-circuit), per-batch deadlines, bounded retries and a circuit
+  breaker around one in-process fast-path executor.
 * :mod:`repro.serving.supervisor` — :class:`SupervisedPool`: self-healing
   process-pool execution (timeouts, retries with backoff, rebuild on worker
   crash, health probe).
-* :mod:`repro.serving.pool` — persistent pools routed through the
-  supervisor and the zero-copy shared-memory plane
-  (:mod:`repro.runtime.shm`): :class:`SweepPool` for the sweep grid and
-  :class:`BatchPool` for pooled multi-source serving (chunked fast path,
-  results written into a shared arena instead of pickled home).
+* :mod:`repro.serving.pool` — :class:`SweepPool`, the persistent sweep-grid
+  pool routed through the supervisor and the zero-copy shared-memory graph
+  plane (:mod:`repro.runtime.shm`).
 * :mod:`repro.serving.faults` — deterministic fault injection
   (:class:`FaultPlan`/:class:`FaultInjector`) driving the chaos suite;
   a no-op unless explicitly installed.
@@ -53,13 +51,12 @@ from repro.serving.faults import (
     install_injector,
 )
 from repro.serving.loadgen import LoadProfile
-from repro.serving.pool import BatchPool, SweepPool
+from repro.serving.pool import SweepPool
 from repro.serving.server import ShortestPathServer, serve_tcp
 from repro.serving.supervisor import SupervisedPool
 
 __all__ = [
     "AdmissionController",
-    "BatchPool",
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",

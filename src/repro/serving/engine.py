@@ -1,21 +1,18 @@
-"""Front-door query engine: cache, batch admission, and execution modes.
+"""Front-door query engine: cache, batch admission, one execution path.
 
 A :class:`QueryEngine` is bound to one graph and one algorithm
 configuration.  ``query_batch`` is the serving entry point: it answers each
 source from the LRU cache when possible, dedupes the remaining sources (a
 batch that asks for the same vertex twice runs it once), executes the
-residue through one batched engine pass, and returns rows aligned with the
-request order.
+residue through one in-process
+:func:`~repro.serving.fastpath.multi_source_distances` pass (distances
+bit-identical to the scalar algorithms, no work-span accounting), and
+returns rows aligned with the request order.  Callers that need metered
+results use the ``*_batch`` functions of :mod:`repro.core` directly.
 
-Two execution modes:
+Two modes:
 
-* ``"fast"`` (default) — the dense
-  :func:`~repro.serving.fastpath.multi_source_distances` engine; identical
-  distances, no work-span accounting, built for throughput.
-* ``"exact"`` — the lockstep :func:`~repro.core.framework.batch_stepping_sssp`
-  replay whose per-source ``StepRecord`` streams match scalar runs
-  bit-for-bit; use it when the caller needs metered results (the analysis
-  layer) rather than raw answers.
+* ``"fast"`` (default) — row queries only.
 * ``"p2p"`` — fast-path batches **plus** the precomputed point-to-point
   tier (:mod:`repro.labels`): the engine eagerly builds landmark + hub
   label tables at construction (with the engine's retry budget, through
@@ -27,27 +24,6 @@ Two execution modes:
   slower.  ``labels_path`` persists the tables as a ``.labels`` artifact
   (loaded in preference to rebuilding, rejected-and-rebuilt when corrupt
   or stale).
-
-Sharded serving: constructing the engine with ``shards >= 1`` routes every
-execution through :func:`~repro.shard.executor.sharded_sssp` over a
-partition built once at construction (``partitioner`` picks the method,
-``shard_jobs`` optionally runs shard windows on a supervised pool).  The
-sharded executor's distances are bit-identical to the unsharded engines, so
-the cache, validation, and degradation story is unchanged — a failing
-sharded path degrades to the fast path exactly like a failing exact path.
-
-Pooled serving: ``pool_jobs >= 2`` (fast mode only) executes every batch
-through a persistent :class:`~repro.serving.pool.BatchPool` — the graph
-lives in shared memory (one registration, O(1) handles) and result rows
-come home through a shared arena instead of pickles when the platform has
-the shm plane (``use_shm`` selects; see :mod:`repro.runtime.shm`).  A
-failing pooled batch falls back to the in-process fast path (identical
-distances) and the event is counted in ``stats()["pool_fallbacks"]``.
-Every executed batch records the transport that produced it
-(``"shm"``/``"pickle"`` from the pool, ``"local"`` for in-process
-execution) in ``stats()["transports"]``; ``stats()["transport"]`` is the
-most recent batch's, so benchmark rows are attributable to their data
-plane.
 
 Resilience (all off the hot path unless something goes wrong):
 
@@ -66,10 +42,7 @@ Resilience (all off the hot path unless something goes wrong):
   failures the circuit opens: misses fail fast with
   :class:`~repro.utils.errors.CircuitOpenError` while cache hits are still
   served; after ``cooldown`` seconds the circuit half-opens and one trial
-  batch decides between closing (success) and re-opening (failure);
-* **graceful degradation** — when the ``exact`` path fails, the engine
-  falls back to the ``fast`` path (bit-identical distances by construction)
-  and counts the event in ``stats()["degraded"]``.
+  batch decides between closing (success) and re-opening (failure).
 
 Dynamic graphs: :meth:`QueryEngine.apply_updates` applies an edge-update
 batch (see :mod:`repro.dynamic`) to the served graph — stale cache entries
@@ -81,17 +54,13 @@ recompute for that entry, and failing that the entry is simply dropped
 (the next query recomputes) — updates never leave wrong answers behind.
 
 Fault-injection sites: ``engine.execute`` fires on every execution attempt;
-``engine.exact`` (resp. ``engine.sharded``) additionally fires on the exact
-(resp. sharded) path only — which is what lets the chaos suite force a
-degradation without touching the fallback; ``engine.update`` fires on every
-cache-repair attempt inside :meth:`QueryEngine.apply_updates`;
-``labels.build`` / ``labels.lookup`` fire inside the label tier (see
-:mod:`repro.labels`).
+``engine.update`` fires on every cache-repair attempt inside
+:meth:`QueryEngine.apply_updates`; ``labels.build`` / ``labels.lookup``
+fire inside the label tier (see :mod:`repro.labels`).
 """
 
 from __future__ import annotations
 
-import copy
 import logging
 import operator
 import threading
@@ -99,12 +68,7 @@ import time
 
 import numpy as np
 
-from repro.core.algorithms import (
-    DEFAULT_RHO,
-    bellman_ford_batch,
-    delta_star_stepping_batch,
-    rho_stepping_batch,
-)
+from repro.core.algorithms import DEFAULT_RHO
 from repro.graphs.csr import Graph
 from repro.obs import OBS
 from repro.serving.cache import ResultCache
@@ -147,11 +111,12 @@ class QueryEngine:
         ρ for ``"rho"`` (defaults to :data:`~repro.core.algorithms.DEFAULT_RHO`),
         Δ for ``"delta"`` (required); ignored for ``"bf"``.
     mode:
-        ``"fast"``, ``"exact"`` or ``"p2p"`` (see module docstring).
+        ``"fast"`` or ``"p2p"`` (see module docstring).
     cache_size:
         LRU capacity in distance vectors.
     seed:
-        Seed for exact-mode runs (fast mode is deterministic and seed-free).
+        Seed for the label builds and the incremental cache repair (the
+        fast path is deterministic and seed-free).
     retries:
         Extra execution attempts after a transient failure (0 = none).
     deadline:
@@ -161,34 +126,6 @@ class QueryEngine:
         Consecutive execution failures that trip the circuit breaker.
     cooldown:
         Seconds the circuit stays open before half-opening for a trial.
-    shards:
-        ``0`` (default) serves from the unsharded engines; ``>= 1`` builds a
-        validated :class:`~repro.shard.sharded_graph.ShardedGraph` once and
-        serves every execution through the BSP sharded executor
-        (bit-identical distances).  Incompatible with ``mode="exact"`` —
-        the metered lockstep replay and the sharded driver are different
-        execution paths.
-    partitioner:
-        Partition method when ``shards >= 1`` (see
-        :data:`repro.shard.partition.PARTITIONERS`).
-    refine:
-        For ``partitioner="fennel"``: run the boundary-vertex refinement
-        sweep after the streaming pass (default on).  Ignored by the other
-        partitioners.
-    shard_jobs:
-        ``>= 2`` runs each superstep's shard windows on a supervised
-        process pool of that many workers; ``0``/``1`` runs them serially.
-    pool_jobs:
-        ``>= 2`` serves every fast-mode batch through a persistent
-        :class:`~repro.serving.pool.BatchPool` of that many workers;
-        ``0``/``1`` (default) executes in process.  Incompatible with
-        ``mode="exact"`` and with ``shards >= 1`` (those are different
-        execution paths).
-    use_shm:
-        Transport for the pooled path: ``None`` auto-probes the
-        shared-memory plane, ``True`` prefers it (degrading with a warning
-        if registration fails), ``False`` forces the pickle transport.
-        Ignored without ``pool_jobs``.
     num_landmarks / label_strategy:
         Size and selection strategy of the landmark table built in
         ``"p2p"`` mode (see :func:`repro.labels.build_landmarks`).
@@ -212,40 +149,18 @@ class QueryEngine:
         deadline: "float | None" = None,
         failure_threshold: int = 5,
         cooldown: float = 30.0,
-        shards: int = 0,
-        partitioner: str = "contiguous",
-        refine: bool = True,
-        shard_jobs: int = 0,
-        pool_jobs: int = 0,
-        use_shm: "bool | None" = None,
         num_landmarks: int = 16,
         label_strategy: str = "farthest",
         labels_path=None,
     ) -> None:
         if algo not in ("rho", "delta", "bf"):
             raise ParameterError(f"unknown algo {algo!r}; choose rho, delta or bf")
-        if mode not in ("fast", "exact", "p2p"):
-            raise ParameterError(f"unknown mode {mode!r}; choose fast, exact or p2p")
+        if mode not in ("fast", "p2p"):
+            raise ParameterError(f"unknown mode {mode!r}; choose fast or p2p")
         if labels_path is not None and mode != "p2p":
             raise ParameterError("labels_path requires mode='p2p'")
         if num_landmarks < 1:
             raise ParameterError(f"num_landmarks must be >= 1, got {num_landmarks}")
-        if shards < 0:
-            raise ParameterError(f"shards must be >= 0, got {shards}")
-        if shards and mode == "exact":
-            raise ParameterError(
-                "shards and mode='exact' are mutually exclusive: the sharded "
-                "executor is its own execution path, not a metered replay"
-            )
-        if shard_jobs < 0:
-            raise ParameterError(f"shard_jobs must be >= 0, got {shard_jobs}")
-        if pool_jobs < 0:
-            raise ParameterError(f"pool_jobs must be >= 0, got {pool_jobs}")
-        if pool_jobs >= 2 and (mode == "exact" or shards):
-            raise ParameterError(
-                "pool_jobs requires the fast path: the exact replay and the "
-                "sharded executor are their own execution planes"
-            )
         if retries < 0:
             raise ParameterError(f"retries must be >= 0, got {retries}")
         if failure_threshold < 1:
@@ -266,56 +181,25 @@ class QueryEngine:
         self.algo = algo
         self.param = param
         self.mode = mode
-        self.shards = int(shards)
-        self.partitioner = partitioner
-        self.shard_jobs = int(shard_jobs)
-        self._sharded = None
-        if self.shards:
-            from repro.shard import ShardedGraph
-
-            opts = {"refine": bool(refine)} if partitioner == "fennel" else {}
-            self._sharded = ShardedGraph.build(
-                graph, self.shards, partitioner, seed=seed, **opts
-            )
         self.seed = seed
         self.retries = retries
         self.deadline = deadline
         self.failure_threshold = failure_threshold
         self.cooldown = cooldown
-        # Remembered for execution-plane rebuilds after apply_updates().
-        self._refine = bool(refine)
-        self._use_shm = use_shm
-        self.pool_jobs = int(pool_jobs)
-        self._pool = None
-        if self.pool_jobs >= 2:
-            from repro.serving.pool import BatchPool
-
-            self._pool = BatchPool(
-                graph, self.pool_jobs, algo=self.algo, param=self.param,
-                use_shm=use_shm, retries=retries,
-            )
         self.cache = ResultCache(cache_size)
-        # Serving counters, updated in place; ``stats()`` hands out a deep
-        # copy so callers can never mutate engine state through the dict.
+        # Serving counters, updated in place; ``stats()`` hands out a copy
+        # so callers can never mutate engine state through the dict.
         self._counters = {
             # sources answered without execution (cache or in-batch dup)
             "deduped": 0,
             # sources actually executed
             "executed": 0,
-            # batches served by the fast path after the exact path failed
-            "degraded": 0,
             # total failed execution attempts over the engine's lifetime
             "exec_failures": 0,
             # execution retry attempts (re-runs after a transient failure)
             "retries": 0,
-            # batches executed through the sharded BSP path
-            "sharded_execs": 0,
             # closed → open transitions of the circuit breaker
             "circuit_trips": 0,
-            # pooled fast-path batches degraded to in-process execution
-            "pool_fallbacks": 0,
-            # executed batches by the transport that produced them
-            "transports": {"local": 0, "shm": 0, "pickle": 0},
             # concurrent half-open arrivals shed while a probe was in flight
             "half_open_shed": 0,
             # edge-update batches applied through apply_updates()
@@ -341,7 +225,6 @@ class QueryEngine:
         self._open_until: "float | None" = None
         self._exec_seq = 0  # execution-batch sequence number (injection index)
         self._update_seq = 0  # repair-entry sequence number (engine.update index)
-        self._last_transport: "str | None" = None
         # Half-open probe gate: exactly one trial batch may be in flight.
         # The lock (not just a flag) matters because the serving front door
         # drives the engine from a worker thread while callers may also use
@@ -371,10 +254,6 @@ class QueryEngine:
     @property
     def executed(self) -> int:
         return self._counters["executed"]
-
-    @property
-    def degraded(self) -> int:
-        return self._counters["degraded"]
 
     @property
     def exec_failures(self) -> int:
@@ -448,12 +327,6 @@ class QueryEngine:
                 if probe:
                     with self._circuit_lock:
                         self._probe_inflight = False
-            # Attribute the executed batch to the transport that produced it
-            # ("shm"/"pickle" from the pool, "local" for in-process).
-            transport = self._last_transport or "local"
-            self._counters["transports"][transport] += 1
-            if OBS.enabled:
-                OBS.registry.inc(f"serving.engine.transport.{transport}")
             for i, s in enumerate(missing):
                 key = ResultCache.key(self.graph, self.algo, self.param, s)
                 rows[key] = self.cache.put(key, dist[i])
@@ -484,6 +357,12 @@ class QueryEngine:
                 "point-to-point queries require mode='p2p' "
                 f"(engine mode is {self.mode!r})"
             )
+
+    def _count(self, counter: str) -> None:
+        """Bump one serving counter and its ``serving.engine.*`` mirror."""
+        self._counters[counter] += 1
+        if OBS.enabled:
+            OBS.registry.inc(f"serving.engine.{counter}")
 
     def _label_fallback_row(self, source: int) -> np.ndarray:
         """Exact SSSP row for the label tier's fallback — cached, resilient."""
@@ -572,14 +451,10 @@ class QueryEngine:
         """
         self._require_p2p()
         source, target = self._admit([source, target])
-        self._counters["p2p_queries"] += 1
-        if OBS.enabled:
-            OBS.registry.inc("serving.engine.p2p_queries")
+        self._count("p2p_queries")
         index = self._ensure_labels()
         if index is None:
-            self._counters["label_fallbacks"] += 1
-            if OBS.enabled:
-                OBS.registry.inc("serving.engine.label_fallbacks")
+            self._count("label_fallbacks")
             return float(self._label_fallback_row(source)[target])
         return index.dist(source, target)
 
@@ -587,10 +462,10 @@ class QueryEngine:
         """Whether a ``source -> target`` path exists (p2p mode)."""
         self._require_p2p()
         source, target = self._admit([source, target])
-        self._counters["p2p_queries"] += 1
+        self._count("p2p_queries")
         index = self._ensure_labels()
         if index is None:
-            self._counters["label_fallbacks"] += 1
+            self._count("label_fallbacks")
             return bool(np.isfinite(self._label_fallback_row(source)[target]))
         return index.reachable(source, target)
 
@@ -601,11 +476,11 @@ class QueryEngine:
         sources = self._admit(sources)
         if k < 1:
             raise ParameterError(f"k must be >= 1, got {k}")
-        self._counters["p2p_queries"] += 1
+        self._count("p2p_queries")
         index = self._ensure_labels()
         if index is not None:
             return index.knearest(target, sources, k)
-        self._counters["label_fallbacks"] += 1
+        self._count("label_fallbacks")
         rows = self.query_batch(sources)
         pairs = sorted(
             (float(rows[i, target]), s)
@@ -617,10 +492,11 @@ class QueryEngine:
     def stats(self) -> dict:
         """Serving counters for dashboards and tests.
 
-        The returned dict is a deep copy — callers may mutate it freely
-        without corrupting engine state (pinned by a regression test).
+        The returned dict is a copy (every counter is a flat int) — callers
+        may mutate it freely without corrupting engine state (pinned by a
+        regression test).
         """
-        out = copy.deepcopy(self._counters)
+        out = dict(self._counters)
         out.update(
             cache_hits=self.cache.hits,
             cache_misses=self.cache.misses,
@@ -628,7 +504,6 @@ class QueryEngine:
             cache_invalidations=self.cache.invalidations,
             cache_size=len(self.cache),
             circuit_state=self._circuit_state(),
-            transport=self._last_transport,
             labels_ready=self.labels_ready,
         )
         if self._label_index is not None:
@@ -721,41 +596,17 @@ class QueryEngine:
     # execution
 
     def _execute_resilient(self, sources: list[int], deadline_at) -> np.ndarray:
-        """Execute with retries, circuit accounting, and path→fast fallback."""
-        if self.shards:
-            path = "sharded"
-        elif self.mode == "exact":
-            path = "exact"
-        else:
-            path = "fast"
+        """Execute with retries and circuit accounting; failures surface typed."""
         try:
-            dist = self._attempts(sources, deadline_at, path=path)
-        except (DeadlineExceeded, CircuitOpenError):
+            dist = self._attempts(sources, deadline_at)
+        except ReproError:
             raise
         except Exception as exc:
-            if path == "fast":
-                if isinstance(exc, ReproError):
-                    raise
-                raise ExecutionError(f"batch execution failed: {exc}") from exc
-            # Graceful degradation: the exact (metered replay) or sharded
-            # (BSP) path is down; the fast path produces bit-identical
-            # distances, so serve those rather than failing the batch.
-            _LOG.warning("%s path failed (%s); degrading batch to the fast path", path, exc)
-            try:
-                dist = self._attempts(sources, deadline_at, path="fast")
-            except (DeadlineExceeded, CircuitOpenError):
-                raise
-            except Exception as fast_exc:
-                if isinstance(fast_exc, ReproError):
-                    raise
-                raise ExecutionError(f"batch execution failed: {fast_exc}") from exc
-            self._counters["degraded"] += 1
-            if OBS.enabled:
-                OBS.registry.inc("serving.engine.degraded")
+            raise ExecutionError(f"batch execution failed: {exc}") from exc
         self._record_success()
         return dist
 
-    def _attempts(self, sources: list[int], deadline_at, *, path: str) -> np.ndarray:
+    def _attempts(self, sources: list[int], deadline_at) -> np.ndarray:
         index = self._exec_seq
         self._exec_seq += 1
         last: "Exception | None" = None
@@ -765,7 +616,7 @@ class QueryEngine:
                 if OBS.enabled:
                     OBS.registry.inc("serving.engine.retries")
             try:
-                return self._execute_once(sources, deadline_at, index, attempt, path=path)
+                return self._execute_once(sources, deadline_at, index, attempt)
             except DeadlineExceeded:
                 self._record_failure()
                 raise
@@ -783,76 +634,28 @@ class QueryEngine:
         raise last
 
     def _execute_once(
-        self, sources: list[int], deadline_at, index: int, attempt: int, *, path: str
+        self, sources: list[int], deadline_at, index: int, attempt: int
     ) -> np.ndarray:
-        injector = get_injector()
-        directive = injector.fire("engine.execute", index=index, attempt=attempt)
-        if path != "fast":
-            path_directive = injector.fire(f"engine.{path}", index=index, attempt=attempt)
-            directive = directive or path_directive
+        directive = get_injector().fire("engine.execute", index=index, attempt=attempt)
         _check_deadline(deadline_at)
-        if deadline_at is None:
-            dist = self._run_chunk(sources, path=path, deadline_at=None)
-        else:
-            outs = []
-            for lo in range(0, len(sources), _DEADLINE_CHUNK):
-                outs.append(self._run_chunk(
-                    sources[lo : lo + _DEADLINE_CHUNK], path=path,
-                    deadline_at=deadline_at,
-                ))
-                _check_deadline(deadline_at)
-            dist = outs[0] if len(outs) == 1 else np.vstack(outs)
+        # Without a deadline the batch runs in one call; with one it runs in
+        # chunks with a deadline check between them.
+        step = len(sources) if deadline_at is None else _DEADLINE_CHUNK
+        outs = []
+        for lo in range(0, len(sources), step):
+            outs.append(multi_source_distances(
+                self.graph, sources[lo : lo + step], algo=self.algo, param=self.param
+            ))
+            _check_deadline(deadline_at)
+        dist = outs[0] if len(outs) == 1 else np.vstack(outs)
         if directive == "corrupt":
             dist = np.array(dist, copy=True)
             dist[0, sources[0]] += 1.0  # breaks the zero-self-distance invariant
         self._validate_result(dist, sources)
         return dist
 
-    def _run_chunk(
-        self, sources: list[int], *, path: str, deadline_at: "float | None" = None
-    ) -> np.ndarray:
-        if path == "fast":
-            return self._run_fast(sources)
-        if path == "sharded":
-            self._last_transport = "local"
-            return self._run_sharded(sources, deadline_at)
-        self._last_transport = "local"
-        if self.algo == "rho":
-            results = rho_stepping_batch(self.graph, sources, self.param, seed=self.seed)
-        elif self.algo == "delta":
-            results = delta_star_stepping_batch(
-                self.graph, sources, self.param, seed=self.seed
-            )
-        else:
-            results = bellman_ford_batch(self.graph, sources, seed=self.seed)
-        return np.stack([r.dist for r in results])
-
-    def _run_fast(self, sources: list[int]) -> np.ndarray:
-        """The fast path: pooled when configured, in-process otherwise.
-
-        A pooled failure degrades to in-process execution (bit-identical
-        distances) instead of burning the batch's retry budget on a sick
-        pool; the event is counted so dashboards see the plane change.
-        """
-        if self._pool is not None:
-            try:
-                dist = self._pool.distances(sources)
-                self._last_transport = self._pool.transport
-                return dist
-            except Exception as exc:
-                _LOG.warning(
-                    "pooled fast path failed (%s); executing the batch in-process", exc
-                )
-                self._counters["pool_fallbacks"] += 1
-                if OBS.enabled:
-                    OBS.registry.inc("serving.engine.pool_fallbacks")
-        self._last_transport = "local"
-        return multi_source_distances(
-            self.graph, sources, algo=self.algo, param=self.param
-        )
-
     def _make_policy(self):
-        """A fresh stepping policy for the sharded path (policies are stateful)."""
+        """A fresh stepping policy for cache repair (policies are stateful)."""
         from repro.core.policies import (
             BellmanFordPolicy,
             DeltaStarPolicy,
@@ -864,30 +667,6 @@ class QueryEngine:
         if self.algo == "delta":
             return DeltaStarPolicy(self.param)
         return BellmanFordPolicy()
-
-    def _run_sharded(
-        self, sources: list[int], deadline_at: "float | None" = None
-    ) -> np.ndarray:
-        """One sharded BSP run per source over the prebuilt partition.
-
-        The batch deadline propagates into every run: the BSP driver checks
-        it between supersteps, so a deadline can cancel a straggling run
-        mid-graph instead of only between 8-source chunks.
-        """
-        from repro.shard import sharded_sssp
-
-        rows = [
-            sharded_sssp(
-                self.graph, s, self._make_policy(),
-                sharded=self._sharded, seed=self.seed, jobs=self.shard_jobs,
-                deadline_at=deadline_at,
-            ).dist
-            for s in sources
-        ]
-        self._counters["sharded_execs"] += 1
-        if OBS.enabled:
-            OBS.registry.inc("serving.engine.sharded")
-        return np.stack(rows)
 
     # ------------------------------------------------------------------ #
     # dynamic updates
@@ -909,9 +688,7 @@ class QueryEngine:
            attempts pass through the ``engine.update`` fault site with the
            engine's retry budget; an entry whose repair keeps failing
            degrades to a full fast-path recompute, and if that fails too the
-           entry is dropped so the next query recomputes it;
-        4. execution planes bound to the old CSR (sharded partition, batch
-           pool) are rebuilt on the new graph.
+           entry is dropped so the next query recomputes it.
 
         Returns a summary dict: ``changed`` (edge deltas applied),
         ``invalidated`` / ``repaired`` / ``degraded`` cache entries, and the
@@ -945,21 +722,6 @@ class QueryEngine:
             )
             self._label_index = None
         self.graph = new_graph
-        if self.shards:
-            from repro.shard import ShardedGraph
-
-            opts = {"refine": self._refine} if self.partitioner == "fennel" else {}
-            self._sharded = ShardedGraph.build(
-                new_graph, self.shards, self.partitioner, seed=self.seed, **opts
-            )
-        if self._pool is not None:
-            from repro.serving.pool import BatchPool
-
-            self._pool.close()
-            self._pool = BatchPool(
-                new_graph, self.pool_jobs, algo=self.algo, param=self.param,
-                use_shm=self._use_shm, retries=self.retries,
-            )
         repaired = degraded = 0
         for key, warm in dropped.items():
             source = key[4]
@@ -1038,10 +800,9 @@ class QueryEngine:
     def _recompute_entry(self, source: int) -> "np.ndarray | None":
         """Full-recompute fallback for a repair that kept failing.
 
-        Uses the in-process fast path directly (not the pooled plane — the
-        pool was just rebuilt and a sick pool should not sink the update);
-        returns ``None`` if even the recompute fails, in which case the
-        entry is dropped and the next query pays the miss.
+        Calls the fast path directly, outside the retry envelope; returns
+        ``None`` if even the recompute fails, in which case the entry is
+        dropped and the next query pays the miss.
         """
         try:
             dist = multi_source_distances(
@@ -1057,10 +818,7 @@ class QueryEngine:
             return None
 
     def close(self) -> None:
-        """Shut down the pooled execution plane (no-op without a pool)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        """Release engine resources (none today; kept for ``with`` scoping)."""
 
     def __enter__(self) -> "QueryEngine":
         return self

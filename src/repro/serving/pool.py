@@ -1,31 +1,20 @@
-"""Persistent process pools for sweep fan-out and pooled batch serving.
+"""Persistent process pool for the sweep grid.
 
-Two pools live here, both routed through
+:class:`SweepPool` is routed through
 :class:`~repro.serving.supervisor.SupervisedPool` (timeouts, retries, crash
-rebuild) and both riding the zero-copy shared-memory plane
-(:mod:`repro.runtime.shm`) when the platform has it:
+rebuild).  Each cell is one metered SSSP run; the graph reaches workers
+**once**, as an O(1)-picklable
+:class:`~repro.runtime.shm.SharedGraphHandle` when the platform has the
+zero-copy shared-memory plane (:mod:`repro.runtime.shm`) — all workers map
+the same physical CSR pages, including every worker spawned by a supervised
+rebuild — and each task payload stays ``(impl_key, param, source, seed,
+machine)``.
 
-* :class:`SweepPool` — the sweep-grid orchestrator.  Each cell is one
-  metered SSSP run; the graph reaches workers **once** as an O(1)-picklable
-  :class:`~repro.runtime.shm.SharedGraphHandle` (all workers map the same
-  physical CSR pages, including every worker spawned by a supervised
-  rebuild) and each task payload stays ``(impl_key, param, source, seed,
-  machine)``.
-* :class:`BatchPool` — the pooled multi-source distance engine.  A K-source
-  batch is split into per-worker chunks of the dense
-  :func:`~repro.serving.fastpath.multi_source_distances` fast path; with the
-  shm plane the rows land directly in a preallocated shared float64 arena
-  (the task result is an O(1) ``(row_lo, count)`` marker), without it the
-  rows pickle home.  Distances are bit-identical either way — chunk lanes
-  are independent, and the fast path is pinned bit-identical to the scalar
-  algorithms.
-
-Transport selection is uniform: ``use_shm=None`` (default) probes
-:func:`~repro.runtime.shm.shm_available`; ``False`` forces the legacy
-pickle path; ``True`` demands shm and still degrades gracefully (with a
-warning and an ``shm.fallbacks`` count) if registration fails.  ``stats()``
-on both pools reports the chosen ``transport`` so benchmark rows and
-dashboards can attribute their numbers.
+Transport selection: ``use_shm=None`` (default) probes
+:func:`~repro.runtime.shm.shm_available`; ``False`` forces the pickle
+path; ``True`` demands shm and still degrades gracefully (with a warning
+and an ``shm.fallbacks`` count) if registration fails.  ``stats()``
+reports the chosen ``transport`` so dashboards can attribute their numbers.
 
 Worker-side attaches fire the ``shm.attach`` fault site *lazily on the
 first task* (not in the pool initializer), so an injected attach fault
@@ -38,18 +27,15 @@ from __future__ import annotations
 import logging
 import math
 
-import numpy as np
-
 from repro.graphs.csr import Graph
 from repro.obs import OBS
 from repro.runtime.machine import MachineModel
 from repro.runtime.shm import SharedGraphHandle, get_manager, shm_available
-from repro.serving.fastpath import multi_source_distances
 from repro.serving.faults import FaultPlan
 from repro.serving.supervisor import SupervisedPool
 from repro.utils.errors import ParameterError
 
-__all__ = ["BatchPool", "SweepPool"]
+__all__ = ["SweepPool"]
 
 _LOG = logging.getLogger("repro.serving")
 
@@ -100,36 +86,7 @@ def _valid_time(value) -> bool:
     return isinstance(value, float) and math.isfinite(value) and value >= 0.0
 
 
-class _ShmGraphMixin:
-    """Shared transport plumbing: register the graph, remember the choice."""
-
-    def _setup_transport(self, graph: Graph, use_shm: "bool | None") -> object:
-        """Pick shm vs pickle; returns the initializer payload."""
-        self._shm_handle: "SharedGraphHandle | None" = None
-        self.transport = "pickle"
-        if use_shm is None:
-            use_shm = shm_available()
-        if use_shm:
-            try:
-                self._shm_handle = get_manager().share_graph(graph)
-                self.transport = "shm"
-                return self._shm_handle
-            except Exception as exc:
-                _LOG.warning(
-                    "shared-memory registration failed (%s); falling back to "
-                    "the pickle transport", exc,
-                )
-                if OBS.enabled:
-                    OBS.registry.inc("shm.fallbacks")
-        return graph
-
-    def _teardown_transport(self) -> None:
-        if self._shm_handle is not None:
-            get_manager().release_graph(self._shm_handle)
-            self._shm_handle = None
-
-
-class SweepPool(_ShmGraphMixin):
+class SweepPool:
     """A persistent, supervised worker pool bound to one graph.
 
     Use as a context manager::
@@ -175,6 +132,26 @@ class SweepPool(_ShmGraphMixin):
             collect_metrics=collect_metrics,
         )
 
+    def _setup_transport(self, graph: Graph, use_shm: "bool | None") -> object:
+        """Pick shm vs pickle; returns the worker initializer payload."""
+        self._shm_handle: "SharedGraphHandle | None" = None
+        self.transport = "pickle"
+        if use_shm is None:
+            use_shm = shm_available()
+        if use_shm:
+            try:
+                self._shm_handle = get_manager().share_graph(graph)
+                self.transport = "shm"
+                return self._shm_handle
+            except Exception as exc:
+                _LOG.warning(
+                    "shared-memory registration failed (%s); falling back to "
+                    "the pickle transport", exc,
+                )
+                if OBS.enabled:
+                    OBS.registry.inc("shm.fallbacks")
+        return graph
+
     def simulated_times(
         self, impl_key: str, param, sources, machine: MachineModel, *, seed=0
     ) -> list[float]:
@@ -205,7 +182,9 @@ class SweepPool(_ShmGraphMixin):
 
     def close(self) -> None:
         self._sup.close()
-        self._teardown_transport()
+        if self._shm_handle is not None:
+            get_manager().release_graph(self._shm_handle)
+            self._shm_handle = None
 
     def __enter__(self) -> "SweepPool":
         return self
@@ -213,180 +192,3 @@ class SweepPool(_ShmGraphMixin):
     def __exit__(self, *exc) -> None:
         self.close()
 
-
-# --------------------------------------------------------------------------- #
-# Pooled batch serving
-# --------------------------------------------------------------------------- #
-
-
-def _run_batch_chunk(algo, param, sources, row_lo, arena_handle):
-    """One worker task: fast-path distances for a contiguous source chunk.
-
-    Pure function of its arguments (rewriting the same arena rows with the
-    same values), so supervised re-execution after a crash, hang, or
-    rejected payload is idempotent.  With an arena the rows are written in
-    place and only an O(1) marker returns; without one the rows pickle home.
-    """
-    graph = _worker_graph()
-    rows = multi_source_distances(graph, sources, algo=algo, param=param)
-    if arena_handle is None:
-        return rows
-    arena = arena_handle.attach()
-    arena[row_lo : row_lo + len(sources)] = rows
-    return (int(row_lo), len(sources))
-
-
-class BatchPool(_ShmGraphMixin):
-    """Persistent pooled multi-source engine: chunked fast path + shm arena.
-
-    Parameters
-    ----------
-    graph:
-        The CSR graph to serve (registered once in shared memory when the
-        plane is available).
-    jobs:
-        Worker process count (>= 2; the serial fast path needs no pool).
-    algo, param:
-        Fast-path stepping rule (``"rho"``/``"delta"``/``"bf"`` with its
-        parameter) — same semantics as
-        :func:`~repro.serving.fastpath.multi_source_distances`.
-    chunk:
-        Sources per task.  Default splits each batch evenly across ``jobs``
-        (one task per worker), the latency-optimal shape when chunks cost
-        roughly the same.
-    use_shm:
-        ``None`` (auto-probe), ``True`` (prefer shm, degrade on failure) or
-        ``False`` (force the pickle transport).
-    timeout, retries, seed, fault_plan:
-        Supervision knobs, forwarded to
-        :class:`~repro.serving.supervisor.SupervisedPool`.
-    """
-
-    def __init__(
-        self,
-        graph: Graph,
-        jobs: int,
-        *,
-        algo: str = "bf",
-        param=None,
-        chunk: "int | None" = None,
-        use_shm: "bool | None" = None,
-        timeout: "float | None" = None,
-        retries: int = 2,
-        seed: int = 0,
-        fault_plan: "FaultPlan | None" = None,
-    ) -> None:
-        if jobs < 2:
-            raise ParameterError(f"BatchPool needs jobs >= 2, got {jobs} (use the serial fast path)")
-        if chunk is not None and chunk < 1:
-            raise ParameterError(f"chunk must be >= 1, got {chunk}")
-        # Fail on a bad algo/param combination at construction, not in a
-        # worker three processes away.
-        multi_source_distances(graph, [], algo=algo, param=param)
-        self.graph = graph
-        self.jobs = jobs
-        self.algo = algo
-        self.param = param
-        self.chunk = chunk
-        self._arena_handle = None
-        self._arena: "np.ndarray | None" = None
-        payload = self._setup_transport(graph, use_shm)
-        self._sup = SupervisedPool(
-            jobs,
-            initializer=_init_worker,
-            initargs=(payload,),
-            timeout=timeout,
-            retries=retries,
-            seed=seed,
-            fault_plan=fault_plan,
-        )
-
-    def _ensure_arena(self, rows: int) -> None:
-        """Grow the shared result arena to hold ``rows`` distance vectors."""
-        if self._arena is not None and self._arena.shape[0] >= rows:
-            return
-        mgr = get_manager()
-        if self._arena_handle is not None:
-            mgr.free(self._arena_handle)
-        self._arena_handle, self._arena = mgr.alloc((rows, self.graph.n), "float64")
-
-    def _chunk_tasks(self, sources: "list[int]"):
-        K = len(sources)
-        size = self.chunk or max(1, -(-K // self.jobs))
-        return [
-            (self.algo, self.param, sources[lo : lo + size], lo, self._arena_handle)
-            for lo in range(0, K, size)
-        ]
-
-    def _valid_chunk(self, payload, expected: "dict[int, int]") -> bool:
-        """Parent-side payload validation (also catches injected corruption).
-
-        Pickle transport: a full ``(k, n)`` row block.  Shm transport: the
-        ``(row_lo, count)`` marker, validated against the arena rows the
-        worker claims to have written.
-        """
-        n = self.graph.n
-        if isinstance(payload, np.ndarray):
-            if payload.ndim != 2 or payload.shape[1] != n:
-                return False
-            rows = payload
-        elif (
-            isinstance(payload, tuple)
-            and len(payload) == 2
-            and self._arena is not None
-        ):
-            lo, k = payload
-            if not (isinstance(lo, int) and expected.get(lo) == k):
-                return False
-            rows = self._arena[lo : lo + k]
-        else:
-            return False
-        return not np.isnan(rows).any() and bool((rows >= 0).all())
-
-    def distances(self, sources) -> np.ndarray:
-        """Fast-path distances for ``sources`` as a private ``(K, n)`` matrix.
-
-        Bit-identical to the serial fast path (and therefore to the scalar
-        algorithms) for any chunking: lanes never interact across chunks.
-        """
-        sources = [int(s) for s in sources]
-        K = len(sources)
-        if K == 0:
-            return np.zeros((0, self.graph.n))
-        if self.transport == "shm":
-            self._ensure_arena(K)
-        tasks = self._chunk_tasks(sources)
-        expected = {lo: len(ss) for _, _, ss, lo, _ in tasks}
-        payloads = self._sup.map_supervised(
-            _run_batch_chunk,
-            tasks,
-            validate=lambda p: self._valid_chunk(p, expected),
-        )
-        if self._arena is not None and self.transport == "shm":
-            # Copy out: the arena is reused by the next batch.
-            return np.array(self._arena[:K], copy=True)
-        return payloads[0] if len(payloads) == 1 else np.vstack(payloads)
-
-    def health_probe(self, timeout: float = 5.0) -> bool:
-        """True when a worker answers a trivial round-trip within ``timeout``."""
-        return self._sup.health_probe(timeout)
-
-    def stats(self) -> dict:
-        """Supervision counters plus the result transport in use."""
-        out = self._sup.stats()
-        out["transport"] = self.transport
-        return out
-
-    def close(self) -> None:
-        self._sup.close()
-        if self._arena_handle is not None:
-            get_manager().free(self._arena_handle)
-            self._arena_handle = None
-            self._arena = None
-        self._teardown_transport()
-
-    def __enter__(self) -> "BatchPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

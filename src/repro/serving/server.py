@@ -7,9 +7,8 @@ single-source query; the server coalesces them into lockstep batches —
 flushing when **B** requests have gathered or **T** milliseconds have
 passed, whichever comes first (the GAPBS "vote on the next bucket" barrier,
 applied to arrivals) — and runs each batch through the existing
-:class:`~repro.serving.engine.QueryEngine` (fast / pooled-shm / sharded
-paths) on a dedicated worker thread, so the event loop never blocks on
-kernel work.
+:class:`~repro.serving.engine.QueryEngine` on a dedicated worker thread, so
+the event loop never blocks on kernel work.
 
 Robustness is the headline, and every decision is made *before* work is
 queued (see :mod:`repro.serving.admission`):
@@ -22,7 +21,7 @@ queued (see :mod:`repro.serving.admission`):
   expire *in* the queue are failed typed and dropped from forming batches;
   requests cancelled by their client are dropped without execution; the
   batch handed to the engine carries the tightest member deadline, which
-  the engine checks between execution chunks and (sharded) BSP supersteps.
+  the engine checks between execution chunks.
 * **circuit-breaker integration** — an open engine circuit is consulted at
   admission: cached sources are served directly, everything else sheds
   with :class:`~repro.utils.errors.CircuitOpenError` instead of queueing

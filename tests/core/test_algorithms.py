@@ -122,3 +122,24 @@ class TestUnreachable:
             assert res.dist[1] == 1.0
             assert np.isinf(res.dist[2]), algo_name
             assert res.reached == 2
+
+
+class TestCheckAgainst:
+    """The distance oracle is exact equality, not a relative tolerance."""
+
+    def _result(self, dist):
+        from repro.core import SSSPResult
+
+        return SSSPResult(dist=np.asarray(dist, dtype=np.float64), source=0,
+                          algorithm="probe")
+
+    def test_off_by_one_weight_raises(self):
+        # np.allclose(134725.0, 134726.0) is True under its default rtol.
+        res = self._result([0.0, 134725.0, np.inf])
+        with pytest.raises(AssertionError, match="v=1"):
+            res.check_against(np.array([0.0, 134726.0, np.inf]))
+
+    def test_equal_distances_pass_including_inf(self):
+        self._result([0.0, 134725.0, np.inf]).check_against(
+            np.array([0.0, 134725.0, np.inf])
+        )

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import get_implementation, simulated_time
+from repro.core import DEFAULT_RHO, rho_stepping
 from repro.graphs import rmat, save_npz
 from repro.graphs.io import load_npz
 from repro.obs import MetricsRegistry, observed
@@ -124,11 +125,14 @@ class TestEngineChaos:
         assert np.array_equal(out, fault_free)
         assert eng.stats()["exec_failures"] == 1
 
-    def test_exact_mode_chaos_matches_fault_free(self, road_small):
-        fault_free = QueryEngine(road_small, "rho", mode="exact").query_batch([0, 4])
+    def test_rho_chaos_matches_scalar(self, road_small):
         install_injector(FaultPlan.single("engine.execute", "exception", at=(0,), times=1))
-        eng = QueryEngine(road_small, "rho", mode="exact", retries=1)
-        assert np.array_equal(eng.query_batch([0, 4]), fault_free)
+        eng = QueryEngine(road_small, "rho", retries=1)
+        out = eng.query_batch([0, 4])
+        for i, s in enumerate([0, 4]):
+            want = rho_stepping(road_small, s, DEFAULT_RHO, seed=0).dist
+            assert np.array_equal(out[i], want)
+        assert eng.stats()["retries"] == 1
 
     def test_hang_trips_deadline(self, rmat_small):
         install_injector(
@@ -147,19 +151,6 @@ class TestEngineChaos:
         fault_free = QueryEngine(rmat_small, "bf").query_batch(sources)
         with_deadline = QueryEngine(rmat_small, "bf").query_batch(sources, deadline=60.0)
         assert np.array_equal(with_deadline, fault_free)
-
-    def test_graceful_degradation_exact_to_fast(self, rmat_small):
-        """A broken exact path degrades to the fast path, visibly, correctly."""
-        fault_free = QueryEngine(rmat_small, "rho").query_batch([1, 2])
-        install_injector(
-            FaultPlan.single("engine.exact", "exception", at=None, rate=1.0, times=99)
-        )
-        eng = QueryEngine(rmat_small, "rho", mode="exact", retries=1)
-        out = eng.query_batch([1, 2])
-        assert np.array_equal(out, fault_free)
-        st = eng.stats()
-        assert st["degraded"] == 1
-        assert st["circuit_state"] == "closed"  # the degraded serve is a success
 
 
 class TestCircuitBreaker:
@@ -274,7 +265,27 @@ class TestChaosMetrics:
         assert counters["serving.engine.exec_failures"] == 2 == st["exec_failures"]
         assert counters["serving.engine.retries"] == 2 == st["retries"]
         assert counters["serving.engine.executed"] == 2 == st["executed"]
-        assert "serving.engine.degraded" not in counters
+
+    @pytest.mark.parametrize("labels", ["live", "failed"])
+    def test_p2p_counters_mirror_stats(self, rmat_small, labels):
+        # Every p2p entry point counts one query; with no live labels
+        # (every build attempt faulted) each one is also a fallback.
+        if labels == "failed":
+            install_injector(
+                FaultPlan.single("labels.build", "exception", at=None, rate=1.0, times=99)
+            )
+        registry = MetricsRegistry()
+        with observed(registry=registry):
+            eng = QueryEngine(rmat_small, "bf", mode="p2p", num_landmarks=4, retries=0)
+            eng.dist(0, 5)
+            eng.reachable(0, 5)
+            eng.knearest(5, [0, 1, 2], 2)
+        counters = registry.snapshot()["counters"]
+        st = eng.stats()
+        fallbacks = 3 if labels == "failed" else 0
+        assert st["p2p_queries"] == 3 == counters["serving.engine.p2p_queries"]
+        assert st["label_fallbacks"] == fallbacks
+        assert counters.get("serving.engine.label_fallbacks", 0) == fallbacks
 
     def test_circuit_transitions_recorded(self, rmat_small):
         install_injector(

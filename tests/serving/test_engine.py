@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import DEFAULT_RHO, bellman_ford, rho_stepping
+from repro.core import DEFAULT_RHO, bellman_ford, delta_star_stepping, rho_stepping
 from repro.serving import QueryEngine
 from repro.utils.errors import CircuitOpenError, ParameterError
 
@@ -55,17 +55,19 @@ class TestAdmission:
 
 
 class TestModes:
-    def test_exact_mode_matches_fast_mode(self, road_small):
-        fast = QueryEngine(road_small, "rho", mode="fast")
-        exact = QueryEngine(road_small, "rho", mode="exact")
+    def test_fast_mode_rho_matches_scalar(self, road_small):
         sources = [0, 4, 9]
-        assert np.array_equal(fast.query_batch(sources), exact.query_batch(sources))
+        out = QueryEngine(road_small, "rho", mode="fast").query_batch(sources)
+        for i, s in enumerate(sources):
+            want = rho_stepping(road_small, s, DEFAULT_RHO, seed=0).dist
+            assert np.array_equal(out[i], want)
 
-    def test_exact_mode_delta(self, gnm_small):
-        eng = QueryEngine(gnm_small, "delta", 4.0, mode="exact")
-        out = eng.query_batch([0, 2])
-        fast = QueryEngine(gnm_small, "delta", 4.0).query_batch([0, 2])
-        assert np.array_equal(out, fast)
+    def test_fast_mode_delta_matches_scalar(self, gnm_small):
+        sources = [0, 2]
+        out = QueryEngine(gnm_small, "delta", 4.0).query_batch(sources)
+        for i, s in enumerate(sources):
+            want = delta_star_stepping(gnm_small, s, 4.0, seed=0).dist
+            assert np.array_equal(out[i], want)
 
     def test_rho_param_defaults(self, rmat_small):
         assert QueryEngine(rmat_small, "rho").param == DEFAULT_RHO
@@ -82,6 +84,17 @@ class TestValidation:
     def test_unknown_mode(self, rmat_small):
         with pytest.raises(ParameterError):
             QueryEngine(rmat_small, "bf", mode="turbo")
+
+    def test_exact_mode_is_gone(self, rmat_small):
+        with pytest.raises(ParameterError, match="fast or p2p"):
+            QueryEngine(rmat_small, "bf", mode="exact")
+
+    @pytest.mark.parametrize(
+        "kwarg", ["shards", "partitioner", "refine", "shard_jobs", "pool_jobs", "use_shm"]
+    )
+    def test_execution_plane_kwargs_are_gone(self, rmat_small, kwarg):
+        with pytest.raises(TypeError, match=kwarg):
+            QueryEngine(rmat_small, "bf", **{kwarg: 2})
 
     def test_delta_requires_param(self, rmat_small):
         with pytest.raises(ParameterError):
@@ -193,7 +206,6 @@ class TestResilienceStats:
         assert st["circuit_state"] == "closed"
         assert st["circuit_trips"] == 0
         assert st["exec_failures"] == 0
-        assert st["degraded"] == 0
         assert st["retries"] == 0
 
     def test_stats_is_a_deep_copy(self, rmat_small):

@@ -1,31 +1,34 @@
-"""Shm plane through the serving stack: leaks, fallback, chaos, transport stats.
+"""Shm plane through the sweep pool: leaks, fallback, attach chaos.
 
 The contract under test: the shared-memory transport is an *optimisation*,
-never a semantic change — distances (and for the sharded executor, the
-per-superstep :class:`~repro.runtime.workspan.StepRecord` stream) must be
-bit-identical between the shm and pickle paths, every segment must be gone
-after pools close (even when a crash forced a pool rebuild mid-batch), and
-an injected ``shm.attach`` fault must be absorbed by supervised retries.
+never a semantic change — pooled sweep cells must be identical between the
+shm and pickle paths, every segment must be gone after pools close (even
+when a crash forced a pool rebuild mid-grid), and an injected
+``shm.attach`` fault must be absorbed by supervised retries.
 """
 
-import numpy as np
 import pytest
 
-from repro.core.policies import RhoPolicy
+from repro.analysis import get_implementation, simulated_time
+from repro.graphs import rmat
 from repro.runtime import (
     SHM_PREFIX,
+    MachineModel,
     close_manager,
     get_manager,
     leaked_segments,
     shm_available,
 )
-from repro.serving import BatchPool, FaultPlan, QueryEngine, multi_source_distances
-from repro.shard import sharded_sssp
-from repro.utils.errors import ParameterError
+from repro.serving import FaultPlan, SweepPool
 
 pytestmark = pytest.mark.skipif(not shm_available(), reason="no shared memory")
 
-SOURCES = [0, 2, 4, 6, 8, 10]
+SOURCES = [0, 2, 4, 6]
+
+
+@pytest.fixture(scope="module")
+def machine():
+    return MachineModel()
 
 
 @pytest.fixture(autouse=True)
@@ -34,122 +37,82 @@ def _no_leaks():
     assert leaked_segments(SHM_PREFIX) == []
 
 
+def _serial_times(graph, sources, machine):
+    impl = get_implementation("PQ-rho")
+    return [
+        simulated_time(impl.run(graph, s, 64, seed=0), machine, impl.profile)
+        for s in sources
+    ]
+
+
 class TestLeakChecks:
-    def test_pool_shutdown_unlinks_everything(self, rmat_small):
-        with BatchPool(rmat_small, 2, use_shm=True) as pool:
-            pool.distances(SOURCES)
+    def test_pool_shutdown_unlinks_everything(self, rmat_small, machine):
+        with SweepPool(rmat_small, 2, use_shm=True) as pool:
+            pool.simulated_times("PQ-rho", 64, SOURCES, machine)
             assert get_manager().live_segments() != []
         assert get_manager().live_segments() == []
         assert leaked_segments(SHM_PREFIX) == []
 
-    def test_crash_triggered_rebuild_does_not_leak(self, rmat_small):
-        serial = multi_source_distances(rmat_small, SOURCES)
+    def test_crash_triggered_rebuild_does_not_leak(self, rmat_small, machine):
+        serial = _serial_times(rmat_small, SOURCES, machine)
         plan = FaultPlan.single("pool.worker", "crash", at=(0,), times=1)
-        with BatchPool(
+        with SweepPool(
             rmat_small, 2, use_shm=True, retries=2, fault_plan=plan
         ) as pool:
-            out = pool.distances(SOURCES)
+            out = pool.simulated_times("PQ-rho", 64, SOURCES, machine)
             st = pool.stats()
-        assert np.array_equal(out, serial)
+        assert out == serial
         assert st["crashes"] >= 1 and st["rebuilds"] >= 1
         assert leaked_segments(SHM_PREFIX) == []
 
-    def test_manager_close_unlinks_even_with_live_refs(self, rmat_small):
+    def test_manager_close_unlinks_even_with_live_refs(self, rmat_small, road_small):
         mgr = get_manager()
         mgr.share_graph(rmat_small)
-        mgr.alloc((2, rmat_small.n))
+        mgr.share_graph(road_small)
         assert mgr.live_segments() != []
         close_manager()
         assert leaked_segments(SHM_PREFIX) == []
 
-    def test_two_pools_share_one_registration(self, rmat_small):
-        with BatchPool(rmat_small, 2, use_shm=True) as a:
+    def test_two_pools_share_one_registration(self, rmat_small, machine):
+        with SweepPool(rmat_small, 2, use_shm=True) as a:
             graph_segments = len(get_manager().live_segments())
-            with BatchPool(rmat_small, 2, use_shm=True) as b:
+            with SweepPool(rmat_small, 2, use_shm=True) as b:
                 # Same fingerprint: the CSR triple is not re-registered.
                 assert len(get_manager().live_segments()) == graph_segments
-                assert np.array_equal(a.distances([0, 1]), b.distances([0, 1]))
+                assert a.simulated_times("PQ-rho", 64, [0, 1], machine) == (
+                    b.simulated_times("PQ-rho", 64, [0, 1], machine)
+                )
             # First pool still works after the second released its ref.
-            a.distances([3])
+            a.simulated_times("PQ-rho", 64, [3], machine)
         assert leaked_segments(SHM_PREFIX) == []
 
 
 class TestFallback:
-    def test_forced_pickle_is_bit_identical(self, rmat_small):
-        serial = multi_source_distances(rmat_small, SOURCES)
-        with BatchPool(rmat_small, 2, use_shm=True) as shm_pool:
-            via_shm = shm_pool.distances(SOURCES)
+    def test_forced_pickle_is_bit_identical(self, rmat_small, machine):
+        serial = _serial_times(rmat_small, SOURCES, machine)
+        with SweepPool(rmat_small, 2, use_shm=True) as shm_pool:
+            via_shm = shm_pool.simulated_times("PQ-rho", 64, SOURCES, machine)
             assert shm_pool.stats()["transport"] == "shm"
-        with BatchPool(rmat_small, 2, use_shm=False) as pickle_pool:
-            via_pickle = pickle_pool.distances(SOURCES)
+        with SweepPool(rmat_small, 2, use_shm=False) as pickle_pool:
+            via_pickle = pickle_pool.simulated_times("PQ-rho", 64, SOURCES, machine)
             assert pickle_pool.stats()["transport"] == "pickle"
-        assert np.array_equal(via_shm, serial)
-        assert np.array_equal(via_pickle, serial)
-
-    def test_sharded_transports_agree_on_records(self, rmat_small):
-        """Distances *and* the StepRecord stream match across transports."""
-        runs = {
-            shm: sharded_sssp(
-                rmat_small, 0, RhoPolicy(64), num_shards=3, seed=0,
-                jobs=2, use_shm=shm,
-            )
-            for shm in (True, False)
-        }
-        assert runs[True].params["pool_transport"] == "shm"
-        assert runs[False].params["pool_transport"] == "pickle"
-        assert np.array_equal(runs[True].dist, runs[False].dist)
-        assert runs[True].stats.steps == runs[False].stats.steps
-
-    def test_rho_and_delta_chunked_match_serial(self, road_small):
-        for algo, param in (("rho", 64.0), ("delta", 8.0)):
-            serial = multi_source_distances(road_small, SOURCES, algo=algo, param=param)
-            with BatchPool(
-                road_small, 2, algo=algo, param=param, chunk=2, use_shm=True
-            ) as pool:
-                assert np.array_equal(pool.distances(SOURCES), serial)
+        assert via_shm == serial
+        assert via_pickle == serial
 
 
 class TestAttachChaos:
-    def test_attach_fault_retried_to_identical_result(self, rmat_small):
-        serial = multi_source_distances(rmat_small, SOURCES)
+    def test_attach_fault_retried_to_identical_result(self, machine):
+        # A graph no earlier test attached: attaches are cached per
+        # fingerprint, and forked workers inherit the parent's cache, so a
+        # graph the parent attached before would never reach the site.
+        graph = rmat(7, 6, seed=2024)
+        serial = _serial_times(graph, SOURCES, machine)
         plan = FaultPlan.single("shm.attach", "exception", at=(0,), times=1)
-        with BatchPool(
-            rmat_small, 2, use_shm=True, retries=2, fault_plan=plan
+        with SweepPool(
+            graph, 2, use_shm=True, retries=2, fault_plan=plan
         ) as pool:
-            out = pool.distances(SOURCES)
+            out = pool.simulated_times("PQ-rho", 64, SOURCES, machine)
             st = pool.stats()
-        assert np.array_equal(out, serial)
+        assert out == serial
         assert st["transport"] == "shm"
         assert st["retried"] >= 1  # the injected attach fault actually landed
-
-
-class TestEngineTransport:
-    def test_pooled_engine_reports_transport(self, rmat_small):
-        baseline = QueryEngine(rmat_small, "bf").query_batch(SOURCES)
-        with QueryEngine(rmat_small, "bf", pool_jobs=2, use_shm=True) as eng:
-            out = eng.query_batch(SOURCES)
-            st = eng.stats()
-        assert np.array_equal(out, baseline)
-        assert st["transport"] == "shm"
-        assert st["transports"] == {"local": 0, "shm": 1, "pickle": 0}
-
-    def test_pickle_engine_counts_per_batch(self, rmat_small):
-        with QueryEngine(rmat_small, "bf", pool_jobs=2, use_shm=False) as eng:
-            eng.query_batch([0, 1])
-            eng.query_batch([2, 3])
-            st = eng.stats()
-        assert st["transport"] == "pickle"
-        assert st["transports"]["pickle"] == 2
-
-    def test_local_engine_reports_local(self, rmat_small):
-        eng = QueryEngine(rmat_small, "bf")
-        eng.query_batch([0, 1])
-        st = eng.stats()
-        assert st["transport"] == "local"
-        assert st["transports"] == {"local": 1, "shm": 0, "pickle": 0}
-
-    def test_pool_jobs_rejects_exact_and_sharded(self, rmat_small):
-        with pytest.raises(ParameterError):
-            QueryEngine(rmat_small, "bf", mode="exact", pool_jobs=2)
-        with pytest.raises(ParameterError):
-            QueryEngine(rmat_small, "bf", shards=2, pool_jobs=2)

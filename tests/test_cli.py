@@ -68,10 +68,9 @@ class TestCommands:
         assert "verified 4 rows" in out
         assert "throughput" in out
 
-    @pytest.mark.parametrize("mode", ["fast", "exact"])
-    def test_batch_modes(self, mode, graph_file, capsys):
+    def test_batch_bf_verified(self, graph_file, capsys):
         assert main(["batch", graph_file, "--sources", "1,2", "--algo", "bf",
-                     "--mode", mode, "--verify"]) == 0
+                     "--verify"]) == 0
         assert "verified 2 rows" in capsys.readouterr().out
 
     def test_batch_delta_with_param(self, graph_file, capsys):
@@ -119,13 +118,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "verified against sequential Dijkstra" in out
         assert "shards" in out and "halo messages" in out
-
-    def test_batch_sharded_verified(self, graph_file, capsys):
-        assert main(["batch", graph_file, "--sources", "0,2", "--shards", "2",
-                     "--verify"]) == 0
-        out = capsys.readouterr().out
-        assert "verified 2 rows" in out
-        assert "sharded[2]" in out
 
     def test_dataset_name_resolution(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "tiny")
