@@ -14,7 +14,7 @@ graphs and reports, per (graph, profile):
   calibrated execution capacity at a bounded queue: the server must shed at
   admission (typed ``OverloadError``; ``shed > 0``) while the p95 of the
   requests it *did* admit stays within their deadline, with no queue
-  growth beyond the bound and no leaked shared-memory segments at exit.
+  growth beyond the bound.
 
 Distance equality is asserted *inside the run*: every successful response
 is compared bit-for-bit with the scalar reference for its source
@@ -39,7 +39,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.datasets import load_dataset
-from repro.runtime.shm import leaked_segments
 from repro.serving.admission import AdmissionController
 from repro.serving.loadgen import (
     LoadProfile,
@@ -156,9 +155,6 @@ def main() -> int:
         print(f"{gname}:")
         all_rows.extend(bench_graph(gname, args.smoke))
 
-    leaked = leaked_segments()
-    assert not leaked, f"leaked shared-memory segments at exit: {leaked}"
-
     report = {
         "bench": "serving",
         "mode": "smoke" if args.smoke else "full",
@@ -170,7 +166,7 @@ def main() -> int:
     }
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)
-    print(f"wrote {args.out} ({len(all_rows)} rows, no leaked segments)")
+    print(f"wrote {args.out} ({len(all_rows)} rows)")
     return 0
 
 

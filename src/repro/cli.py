@@ -46,7 +46,7 @@ import sys
 
 import numpy as np
 
-from repro.analysis import format_series, format_table, get_implementation, simulated_time
+from repro.analysis import format_series, format_table, get_implementation, sweep_param
 from repro.baselines import dijkstra_reference
 from repro.core import (
     DEFAULT_RHO,
@@ -69,7 +69,6 @@ from repro.graphs import (
     save_npz,
 )
 from repro.obs import (
-    OBS,
     MetricsRegistry,
     Tracer,
     observed,
@@ -226,20 +225,10 @@ def _cmd_sweep(args) -> int:
     machine = MachineModel(P=args.cores)
     impl = get_implementation(args.implementation)
     params = [2.0**e for e in range(args.lo, args.hi + 1)]
-    if args.jobs >= 2:
-        from repro.serving import SweepPool
-
-        with SweepPool(
-            g, args.jobs, timeout=args.task_timeout, retries=args.retries,
-            collect_metrics=OBS.registry.enabled, use_shm=args.shm,
-        ) as pool:
-            grid = pool.map_cells(impl.key, params, [args.source], machine, seed=args.seed)
-        times = [row[0] for row in grid]
-    else:
-        times = []
-        for p in params:
-            res = impl.run(g, args.source, p, seed=args.seed)
-            times.append(simulated_time(res, machine, impl.profile))
+    times = sweep_param(
+        impl, g, params, [args.source], machine, seed=args.seed, jobs=args.jobs,
+        timeout=args.task_timeout, retries=args.retries,
+    ).times
     best = min(times)
     print(format_series(
         [f"2^{int(np.log2(p))}" for p in params],
@@ -629,9 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-cell timeout in seconds for pooled sweeps")
     p.add_argument("--retries", type=int, default=2,
                    help="per-cell retry budget for pooled sweeps")
-    p.add_argument("--shm", action=argparse.BooleanOptionalAction, default=None,
-                   help="ship the graph to sweep workers via shared memory "
-                        "(default: auto-detect; --no-shm forces pickle)")
     p.add_argument("--metrics", default=None, metavar="PATH",
                    help="write a metrics snapshot (.json, or .prom/.txt for "
                         "Prometheus text format); pooled sweeps merge "

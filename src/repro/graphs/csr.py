@@ -266,7 +266,7 @@ class Graph:
                 e = int(bad[0])
                 raise GraphFormatError(
                     f"edge weights must be positive and finite: weights[{e}]="
-                    f"{self.weights[e]!r} (edge {e} of vertex {int(self.edge_sources[e])})"
+                    f"{float(self.weights[e])!r} (edge {e} of vertex {int(self.edge_sources[e])})"
                 )
         if not self.directed and not self.is_symmetric:
             u, v = self._first_asymmetric_edge()

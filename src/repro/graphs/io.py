@@ -72,6 +72,15 @@ def load_npz(path: str | os.PathLike) -> Graph:
     return g
 
 
+def _validated(path, g: Graph) -> Graph:
+    """Check a parsed graph's invariants, naming ``path`` on failure."""
+    try:
+        g.validate()
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from exc
+    return g
+
+
 def save_edgelist(graph: Graph, path: str | os.PathLike) -> None:
     """Write ``src dst weight`` lines (one directed edge per line)."""
     src, dst, w = graph.edges()
@@ -86,6 +95,9 @@ def load_edgelist(
 ) -> Graph:
     """Read an edge list written by :func:`save_edgelist` (or any
     whitespace-separated ``src dst [weight]`` file; missing weights become 1).
+
+    A weight that is not positive and finite raises
+    :class:`~repro.utils.errors.GraphFormatError` naming the file.
     """
     srcs, dsts, ws = [], [], []
     header_directed = None
@@ -115,7 +127,7 @@ def load_edgelist(
         n = header_n if header_n is not None else (int(max(src.max(), dst.max())) + 1 if len(src) else 0)
     if header_directed is not None:
         directed = header_directed
-    return Graph.from_edges(n, src, dst, w, directed=directed, dedup=False)
+    return _validated(path, Graph.from_edges(n, src, dst, w, directed=directed, dedup=False))
 
 
 def save_dimacs(graph: Graph, path: str | os.PathLike) -> None:
@@ -129,7 +141,8 @@ def save_dimacs(graph: Graph, path: str | os.PathLike) -> None:
 
 
 def load_dimacs(path: str | os.PathLike, *, directed: bool = True) -> Graph:
-    """Read a DIMACS shortest-path ``.gr`` file."""
+    """Read a DIMACS shortest-path ``.gr`` file (bad weights rejected as in
+    :func:`load_edgelist`)."""
     n = None
     srcs, dsts, ws = [], [], []
     with open(path) as fh:
@@ -150,7 +163,7 @@ def load_dimacs(path: str | os.PathLike, *, directed: bool = True) -> Graph:
                 ws.append(float(parts[3]))
     if n is None:
         raise GraphFormatError("DIMACS file has no 'p sp' problem line")
-    return Graph.from_edges(
+    return _validated(path, Graph.from_edges(
         n, np.array(srcs, dtype=np.int64), np.array(dsts, dtype=np.int64), np.array(ws),
         directed=directed, dedup=False,
-    )
+    ))

@@ -18,8 +18,8 @@ SSSP queries at wall-clock speed and keeps serving them when things break:
   process-pool execution (timeouts, retries with backoff, rebuild on worker
   crash, health probe).
 * :mod:`repro.serving.pool` — :class:`SweepPool`, the persistent sweep-grid
-  pool routed through the supervisor and the zero-copy shared-memory graph
-  plane (:mod:`repro.runtime.shm`).
+  pool routed through the supervisor; workers get the graph through the
+  pool initializer.
 * :mod:`repro.serving.faults` — deterministic fault injection
   (:class:`FaultPlan`/:class:`FaultInjector`) driving the chaos suite;
   a no-op unless explicitly installed.

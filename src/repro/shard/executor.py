@@ -155,21 +155,13 @@ _WORKER_SHARDS: "list[tuple] | None" = None
 def _install_worker_shards(shard_data) -> None:
     """Pool initializer: pin every shard's local CSR in the worker process.
 
-    Each entry is either the local :class:`~repro.graphs.csr.Graph` itself
-    (pickle transport) or an O(1)-picklable
-    :class:`~repro.runtime.shm.SharedGraphHandle` whose attach maps the
-    parent's CSR pages read-only (shm transport) — rebuilt workers re-attach
-    the same segments instead of re-unpickling the shards.
+    ``shard_data`` holds ``(local graph, n_owned)`` per shard; it reaches the
+    worker through the pool initializer (DESIGN.md §11).
     """
-    from repro.runtime.shm import SharedGraphHandle
-
     global _WORKER_SHARDS
-    resolved = []
-    for local, n_owned in shard_data:
-        if isinstance(local, SharedGraphHandle):
-            local = local.attach()
-        resolved.append((local, n_owned, Workspace(max(1, local.n))))
-    _WORKER_SHARDS = resolved
+    _WORKER_SHARDS = [
+        (local, n_owned, Workspace(max(1, local.n))) for local, n_owned in shard_data
+    ]
 
 
 def _worker_window(shard_index, dist_loc, frontier, theta):
@@ -273,7 +265,7 @@ def _exchange_halos(states: "list[_ShardState]", n: int) -> "tuple[int, int]":
     All source shards' boundary updates are concatenated, sorted once by the
     composite key ``owner_shard * n + owner_local``, and collapsed to the
     minimum distance per (destination shard, vertex) — the packed array a
-    real transport would put on the wire, one per destination per exchange.
+    distributed run would put on the wire, one per destination per exchange.
     Each destination then applies its packed array with a single
     ``write_min`` (scatter-min: idempotent, order-independent) and enqueues
     the vertices whose distance actually improved.
@@ -333,7 +325,6 @@ def sharded_sssp(
     pool_timeout: "float | None" = None,
     pool_retries: int = 2,
     fault_plan=None,
-    use_shm: "bool | None" = None,
     deadline_at: "float | None" = None,
 ) -> SSSPResult:
     """Run Algorithm 1 over a sharded graph, superstep by superstep.
@@ -374,15 +365,10 @@ def sharded_sssp(
         superstep's shard windows on a :class:`SupervisedPool` with that
         many workers (timeouts/retries/crash rebuilds per
         ``pool_timeout``/``pool_retries``/``fault_plan``).  Both paths apply
-        the same state transitions, so distances are identical.
-    use_shm:
-        Transport for the pooled windows' shard CSRs: ``None`` auto-probes
-        the shared-memory plane (:mod:`repro.runtime.shm`), ``True``
-        prefers it (degrading with a warning if registration fails),
-        ``False`` forces the pickle transport.  Per-window mutable state
-        (the distance snapshot) always pickles — it must be a private copy
-        for idempotent re-execution.  ``result.params["pool_transport"]``
-        records the choice.
+        the same state transitions, so distances are identical.  Workers
+        get the shard CSRs once, through the pool initializer; each window's
+        distance snapshot is pickled per task, because it must be a private
+        copy for idempotent re-execution.
     deadline_at:
         Absolute ``time.monotonic()`` deadline checked **between BSP
         supersteps** (and fusion rounds are bounded by their superstep): a
@@ -435,37 +421,13 @@ def sharded_sssp(
     policy.reset(ctx)
 
     pool = None
-    shm_handles: "list" = []
-    pool_transport = None
     if jobs >= 2:
-        from repro.runtime.shm import get_manager, shm_available
         from repro.serving.supervisor import SupervisedPool
 
-        pool_transport = "pickle"
-        shard_data = [(st.shard.local, st.shard.n_owned) for st in states]
-        if shm_available() if use_shm is None else use_shm:
-            try:
-                mgr = get_manager()
-                handles = [mgr.share_graph(st.shard.local) for st in states]
-            except Exception as exc:
-                import logging
-
-                logging.getLogger("repro.shard").warning(
-                    "shared-memory registration of shard CSRs failed (%s); "
-                    "falling back to the pickle transport", exc,
-                )
-                if OBS.enabled:
-                    OBS.registry.inc("shm.fallbacks")
-            else:
-                shm_handles = handles
-                shard_data = [
-                    (h, st.shard.n_owned) for h, st in zip(handles, states)
-                ]
-                pool_transport = "shm"
         pool = SupervisedPool(
             jobs,
             initializer=_install_worker_shards,
-            initargs=(shard_data,),
+            initargs=([(st.shard.local, st.shard.n_owned) for st in states],),
             timeout=pool_timeout,
             retries=pool_retries,
             seed=0 if seed is None else int(seed) if np.isscalar(seed) else 0,
@@ -630,12 +592,6 @@ def sharded_sssp(
     finally:
         if pool is not None:
             pool.close()
-        if shm_handles:
-            from repro.runtime.shm import get_manager
-
-            mgr = get_manager()
-            for handle in shm_handles:
-                mgr.release_graph(handle)
 
     dist = np.full(n, np.inf)
     for st in states:
@@ -659,7 +615,6 @@ def sharded_sssp(
             "num_shards": part.num_shards,
             "partitioner": part.method,
             "jobs": int(jobs),
-            "pool_transport": pool_transport,
             "cut_edges": part.cut_edges,
             "halo_messages": halo_messages,
             "halo_coalesced": halo_raw_total - halo_messages,

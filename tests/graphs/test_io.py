@@ -76,6 +76,16 @@ class TestEdgelist:
         with pytest.raises(GraphFormatError):
             load_edgelist(p)
 
+    @pytest.mark.parametrize("weight", ["nan", "-1", "0", "inf"])
+    def test_bad_weight_rejected_naming_file(self, tmp_path, weight):
+        p = tmp_path / "w.txt"
+        p.write_text(f"# n=3 directed=0\n0 1 1\n1 2 {weight}\n")
+        with pytest.raises(GraphFormatError) as excinfo:
+            load_edgelist(p)
+        msg = str(excinfo.value)
+        assert str(p) in msg and "positive and finite" in msg
+        assert f"={float(weight)!r} " in msg
+
 
 class TestDimacs:
     def test_roundtrip(self, g, tmp_path):
@@ -90,6 +100,16 @@ class TestDimacs:
         p.write_text("a 1 2 3\n")
         with pytest.raises(GraphFormatError):
             load_dimacs(p)
+
+    @pytest.mark.parametrize("weight", ["nan", "-1", "0", "inf"])
+    def test_bad_weight_rejected_naming_file(self, tmp_path, weight):
+        p = tmp_path / "w.gr"
+        p.write_text(f"p sp 3 2\na 1 2 1\na 2 3 {weight}\n")
+        with pytest.raises(GraphFormatError) as excinfo:
+            load_dimacs(p)
+        msg = str(excinfo.value)
+        assert str(p) in msg and "positive and finite" in msg
+        assert f"={float(weight)!r} " in msg
 
     def test_one_indexing(self, tmp_path):
         p = tmp_path / "small.gr"

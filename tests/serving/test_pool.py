@@ -1,12 +1,14 @@
 """SweepPool: pooled sweep cells must equal the serial path exactly."""
 
-import numpy as np
+import multiprocessing
+
 import pytest
 
 from repro.analysis import get_implementation, simulated_time
 from repro.analysis.sweeps import sweep_param
+from repro.graphs import Graph
 from repro.runtime import MachineModel
-from repro.serving import SweepPool
+from repro.serving import FaultPlan, SweepPool
 from repro.utils.errors import ParameterError
 
 
@@ -53,6 +55,34 @@ class TestSupervision:
             assert pool.health_probe(timeout=30.0)
         assert st["submitted"] == 2 and st["completed"] == 2
         assert st["rebuilds"] == 0 and st["retried"] == 0
+
+
+class TestGraphInheritance:
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="only fork workers inherit the graph without pickling it",
+    )
+    def test_fork_workers_never_pickle_the_graph(self, rmat_small, machine, monkeypatch):
+        """Forked workers, rebuilt ones included, inherit the graph's pages."""
+        impl = get_implementation("PQ-rho")
+        sources = [0, 1, 2, 3]
+        serial = [
+            simulated_time(impl.run(rmat_small, s, 64, seed=0), machine, impl.profile)
+            for s in sources
+        ]
+
+        def no_pickle(self, protocol):
+            raise AssertionError("the graph was pickled on its way to a worker")
+
+        monkeypatch.setattr(Graph, "__reduce_ex__", no_pickle)
+        plan = FaultPlan.single("pool.worker", "crash", at=(2,), times=1)
+        with SweepPool(rmat_small, 2, retries=2, backoff=0.01, fault_plan=plan) as pool:
+            before = pool.simulated_times("PQ-rho", 64, sources[:1], machine)
+            assert pool.stats()["rebuilds"] == 0
+            after = pool.simulated_times("PQ-rho", 64, sources, machine)
+            assert pool.stats()["rebuilds"] >= 1
+        assert before == serial[:1]
+        assert after == serial
 
 
 class TestSweepJobs:

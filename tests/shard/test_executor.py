@@ -16,7 +16,6 @@ from repro.core.policies import (
     RhoPolicy,
 )
 from repro.obs import MetricsRegistry, Tracer, observed
-from repro.runtime import SHM_PREFIX, leaked_segments, shm_available
 from repro.shard import PARTITIONERS, ShardedGraph, sharded_sssp
 from repro.utils.errors import DeadlineExceeded, ParameterError
 
@@ -146,21 +145,15 @@ def test_pool_mode_matches_serial(rmat_small):
     assert pooled.params["halo_messages"] == serial.params["halo_messages"]
 
 
-@pytest.mark.skipif(not shm_available(), reason="no shared memory")
-def test_sharded_transports_agree_on_records(rmat_small):
-    """Distances *and* the StepRecord stream match across pool transports."""
-    runs = {
-        shm: sharded_sssp(
-            rmat_small, 0, RhoPolicy(64), num_shards=3, seed=0,
-            jobs=2, use_shm=shm,
-        )
-        for shm in (True, False)
-    }
-    assert runs[True].params["pool_transport"] == "shm"
-    assert runs[False].params["pool_transport"] == "pickle"
-    assert np.array_equal(runs[True].dist, runs[False].dist)
-    assert runs[True].stats.steps == runs[False].stats.steps
-    assert leaked_segments(SHM_PREFIX) == []
+def test_pool_mode_matches_serial_records(rmat_small):
+    """Distances *and* the StepRecord stream match between pooled and serial."""
+    serial, pooled = (
+        sharded_sssp(rmat_small, 0, RhoPolicy(64), num_shards=3, seed=0, jobs=jobs)
+        for jobs in (0, 2)
+    )
+    assert np.array_equal(pooled.dist, serial.dist)
+    assert pooled.params["halo_messages"] == serial.params["halo_messages"]
+    assert pooled.stats.steps == serial.stats.steps
 
 
 def test_max_steps_guard(rmat_small):

@@ -254,6 +254,27 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "circuit" in err
 
+    def test_run_rejects_negative_undirected_edge_promptly(self, tmp_path):
+        # A negative undirected edge that slips past the loader makes the
+        # run loop forever, so drive it as a subprocess: a regression fails
+        # on the timeout instead of wedging the suite.
+        import os
+        import subprocess
+        import sys
+
+        path = tmp_path / "neg.txt"
+        path.write_text("# n=3 directed=0\n0 1 1\n1 2 -1\n")
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "rho", str(path)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "positive and finite" in proc.stderr
+
     def test_batch_deadline_flag_accepted(self, graph_file, capsys):
         assert main(["batch", graph_file, "--sources", "0,1",
                      "--deadline", "60", "--verify"]) == 0
