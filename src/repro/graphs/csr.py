@@ -293,6 +293,23 @@ class Graph:
             and np.allclose(w[fwd], w[rev])
         )
 
+    @cached_property
+    def exact_sums(self) -> bool:
+        """Whether every path-sum combination is an exact float64 (cached).
+
+        True iff every weight is an integer and ``2 (n - 1) L`` stays below
+        ``2**53``: a shortest path has at most ``n - 1`` edges, so every
+        distance, every hub sum ``d(s, h) + d(h, t)`` and every ALT bound is
+        then an exact integer, whatever order it was summed in.  The label
+        tier serves hub and ALT answers only when this holds; ``Graph`` is
+        immutable, and an update builds a new object, so the cached answer
+        never goes stale.
+        """
+        w = self.weights
+        if not np.array_equal(w, np.floor(w)):
+            return False
+        return 2.0 * max(self.n - 1, 0) * self.max_weight < 2.0**53
+
     def _first_asymmetric_edge(self) -> tuple[int, int]:
         """The lexically first edge whose reverse is missing or misweighted."""
         src, dst, w = self.edges()

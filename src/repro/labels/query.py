@@ -4,11 +4,17 @@
 answers ``dist(s, t)`` / ``reachable(s, t)`` / ``knearest`` from the label
 tables built offline, in microseconds, while *never trusting them blindly*:
 
+* hub and ALT answers are served only when
+  :attr:`~repro.graphs.csr.Graph.exact_sums` holds (integer weights, every
+  sum below ``2**53``).  A hub sum ``d(s, h) + d(h, t)`` regroups the
+  path's additions, which on real weights can round to a different float
+  than the path-ordered distance; such graphs answer every query from the
+  SSSP fallback row;
 * every hub answer is checked against the structural invariant ``d >= 0``
   and — when a landmark table rides along — the exact ALT sandwich
-  ``lower <= d <= upper``.  On the integer-weighted graphs this repo
-  serves, those bounds hold *exactly* for the true distance, so any
-  violation proves the hub tables (or the lookup) are corrupt;
+  ``lower <= d <= upper``.  With exact sums those bounds hold *exactly*
+  for the true distance, so any violation proves the hub tables (or the
+  lookup) are corrupt;
 * a failed check, an injected ``labels.lookup`` fault, or a missing hub
   table degrades to the **SSSP fallback** — an exact stepping run whose
   answer is bit-identical to what the label path would have produced from
@@ -163,6 +169,10 @@ class LabelIndex:
             return self._fallback_dist(s, t)
         if s == t:
             return 0.0
+        if not self.graph.exact_sums:
+            # Hub and ALT sums regroup the path's float additions; only
+            # exact sums make them equal the path-ordered distance.
+            return self._fallback_dist(s, t)
         lb, ub = self.bounds(s, t)
         if self.bundle.hubs is not None:
             d = hub_distance(self.bundle.hubs, s, t)
@@ -191,10 +201,10 @@ class LabelIndex:
     def _answer_ok(d: float, lb: float, ub: float) -> bool:
         """Is ``d`` a structurally possible answer?
 
-        Non-negative, not NaN, and inside the exact ALT sandwich.  On
-        integer-weighted graphs the sandwich is exact for the true
-        distance, so a healthy table can never fail this test — a failure
-        is proof of corruption, not a false positive.
+        Non-negative, not NaN, and inside the exact ALT sandwich.  Only
+        called when the graph has exact sums, where the sandwich is exact
+        for the true distance, so a healthy table can never fail this test
+        — a failure is proof of corruption, not a false positive.
         """
         if np.isnan(d) or d < 0.0:
             return False
@@ -213,7 +223,7 @@ class LabelIndex:
         self.bundle.require_fresh(self.graph)
         if s == t:
             return True
-        if self.bundle.hubs is not None:
+        if self.bundle.hubs is not None or not self.graph.exact_sums:
             return np.isfinite(self.dist(s, t))
         lb, ub = self.bounds(s, t)
         if not np.isfinite(lb):

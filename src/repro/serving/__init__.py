@@ -5,9 +5,9 @@ machine — every probe and scan is metered, which is what the analysis layer
 needs but not what a latency-sensitive caller wants.  This package serves
 SSSP queries at wall-clock speed and keeps serving them when things break:
 
-* :mod:`repro.serving.fastpath` — dense multi-source engine producing
-  bit-identical distances to the scalar algorithms with no accounting
-  overhead.
+* :mod:`repro.serving.fastpath` — native multi-source executor (scipy's
+  compiled Dijkstra) producing bit-identical distances to the scalar
+  algorithms with no accounting overhead.
 * :mod:`repro.serving.cache` — LRU result cache keyed by
   ``(graph_id, algo, param, source)``.
 * :mod:`repro.serving.engine` — :class:`QueryEngine` front door with

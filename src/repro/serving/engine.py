@@ -5,10 +5,11 @@ configuration.  ``query_batch`` is the serving entry point: it answers each
 source from the LRU cache when possible, dedupes the remaining sources (a
 batch that asks for the same vertex twice runs it once), executes the
 residue through one in-process
-:func:`~repro.serving.fastpath.multi_source_distances` pass (distances
-bit-identical to the scalar algorithms, no work-span accounting), and
-returns rows aligned with the request order.  Callers that need metered
-results use the ``*_batch`` functions of :mod:`repro.core` directly.
+:func:`~repro.serving.fastpath.multi_source_distances` call (scipy's
+compiled Dijkstra; distances bit-identical to the scalar algorithms, no
+work-span accounting), and returns rows aligned with the request order.
+Callers that need metered results use the ``*_batch`` functions of
+:mod:`repro.core` directly.
 
 Two modes:
 
@@ -18,12 +19,14 @@ Two modes:
   label tables at construction (with the engine's retry budget, through
   the ``labels.build`` fault site) and serves :meth:`QueryEngine.dist` /
   :meth:`QueryEngine.reachable` / :meth:`QueryEngine.knearest` from them
-  in microseconds.  Every label answer is validated against the exact ALT
-  bound sandwich; a violation, a lookup fault, or a build that kept
-  failing degrades to the cached SSSP path — bit-identical answers,
-  slower.  ``labels_path`` persists the tables as a ``.labels`` artifact
-  (loaded in preference to rebuilding, rejected-and-rebuilt when corrupt
-  or stale).
+  in microseconds.  Label answers are served only on graphs whose path
+  sums are exact (:attr:`~repro.graphs.csr.Graph.exact_sums`: integer
+  weights, sums below ``2**53``) and are validated against the exact ALT
+  bound sandwich; a real-weighted graph, a violation, a lookup fault, or a
+  build that kept failing degrades to the cached SSSP path —
+  bit-identical answers, slower.  ``labels_path`` persists the tables as
+  a ``.labels`` artifact (loaded in preference to rebuilding,
+  rejected-and-rebuilt when corrupt or stale).
 
 Resilience (all off the hot path unless something goes wrong):
 

@@ -1,63 +1,40 @@
-"""Dense multi-source SSSP fast path — the serving-side batch engine.
+"""Native multi-source SSSP executor — the serving-side batch engine.
 
 :class:`~repro.core.framework.BatchFrontier` replays each source's scalar
 run bit-for-bit — per-lane priority queues, scatter-table probing, work-span
 metering — because the analysis layer treats those counts as the semantics.
-A serving endpoint only needs the *distances*, and label-correcting
-relaxation converges to the same per-path float sums in any execution order,
-so this module drops the machine simulation entirely:
-
-* one flat ``(K, n)`` distance matrix and one flat queued-bit array;
-* per step, the whole cross-lane frontier relaxes through a single edge
-  gather — no per-lane Python, no hash tables, no priority queues;
-* on undirected graphs each frontier vertex first *pulls* the minimum over
-  its incoming edges (the Sec. 6 bidirectional optimisation, which settles
-  most vertices in one touch and cuts total relaxations ~4x on meshes);
-* the push-side ``scatter_min`` runs only on candidates that pass a cheap
-  pre-pull snapshot test, shrinking the sort-based scatter to the small
-  improving subset.
+A serving endpoint only needs the *distances*, so this module hands the
+whole batch to scipy's compiled Dijkstra
+(:func:`scipy.sparse.csgraph.dijkstra` over the CSR arrays, one call per
+batch) and runs no Python per vertex or per wave.
 
 Distances are bit-identical to :func:`repro.core.rho_stepping` /
-``delta_star_stepping`` / ``bellman_ford`` for the same sources (asserted in
-``tests/serving`` and in ``benchmarks/bench_multisource.py``); step *counts*
-are not comparable and are intentionally not reported.
+``delta_star_stepping`` / ``bellman_ford`` for the same sources.  Every
+distance any of them writes is the left-to-right float sum ``fl(d(u) + w)``
+along some path.  With ``w > 0`` and round-to-nearest addition being
+monotone (and ``fl(a + w) >= a``), Dijkstra's settle order is valid, and
+both Dijkstra and label-correcting relaxation stop only at the same fixpoint
+``d(v) = min over edges (u, v) of fl(d(u) + w)`` — the least path sum.
+Parallel edges take the lighter copy in both.  Equality is asserted over
+random real weights in ``tests/serving/test_fastpath.py`` and in
+``benchmarks/bench_multisource.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 
 from repro.graphs.csr import Graph
-from repro.runtime.kernels import gather_edges, scatter_min, segmented_min
+from repro.graphs.interop import to_scipy_sparse
+
+# Unused here since the executor went native, but the traced benchmark run
+# (perfbench/layers.py) patches these names on this module and fails on a
+# missing one; they go when the benchmark's patch list drops them.
+from repro.runtime.kernels import gather_edges, scatter_min, segmented_min  # noqa: F401
 from repro.utils.errors import ParameterError
 
 __all__ = ["multi_source_distances"]
-
-_INT = np.int64
-
-
-def _lane_thetas(keys: np.ndarray, starts: np.ndarray, algo: str, param) -> np.ndarray:
-    """Per-lane extraction threshold over the queued keys of each lane.
-
-    ``keys`` are the queued tentative distances sorted by lane; lane ``i``
-    owns ``keys[starts[i]:starts[i+1]]``.  Mirrors the paper's ExtDist rules:
-    Δ*-stepping extracts ``min + Δ``, ρ-stepping the ρ nearest, Bellman-Ford
-    everything.
-    """
-    K = len(starts) - 1
-    thetas = np.full(K, np.inf)
-    if algo == "bf":
-        return thetas
-    for i in range(K):
-        lane = keys[starts[i] : starts[i + 1]]
-        if lane.size == 0:
-            continue
-        if algo == "delta":
-            thetas[i] = lane.min() + param
-        else:  # rho
-            if lane.size > param:
-                thetas[i] = np.partition(lane, param - 1)[param - 1]
-    return thetas
 
 
 def multi_source_distances(
@@ -77,13 +54,12 @@ def multi_source_distances(
         Iterable of source vertex ids; one matrix row per source, in order.
         Duplicate sources are computed independently (dedup belongs to the
         :class:`~repro.serving.engine.QueryEngine` admission layer).
-    algo:
-        Stepping rule for the extraction threshold: ``"bf"`` (θ = ∞, the
-        default and fastest here), ``"delta"`` (θ = min + Δ) or ``"rho"``
-        (θ = ρ-th smallest queued key).  All three produce identical
-        distances; the rule only shapes the wavefronts.
-    param:
-        Δ for ``"delta"``, ρ for ``"rho"``; ignored for ``"bf"``.
+    algo / param:
+        The engine's stepping rule — ``"bf"``, ``"delta"`` with Δ > 0, or
+        ``"rho"`` with ρ >= 1 — validated, with a
+        :class:`~repro.utils.errors.ParameterError` on a bad value.  They do
+        not shape the execution (every rule yields the same distances);
+        cache keys and repair policies use them.
     """
     if algo not in ("bf", "delta", "rho"):
         raise ParameterError(f"unknown fast-path algo {algo!r}")
@@ -91,62 +67,10 @@ def multi_source_distances(
         raise ParameterError(f"delta fast path needs a positive delta, got {param}")
     if algo == "rho" and (param is None or int(param) < 1):
         raise ParameterError(f"rho fast path needs rho >= 1, got {param}")
-    if algo == "rho":
-        param = int(param)
-    src = np.asarray(list(sources), dtype=_INT)
+    src = np.asarray(list(sources), dtype=np.int64)
     n = graph.n
-    K = len(src)
-    if K == 0:
+    if src.size == 0:
         return np.zeros((0, n))
-    if src.size and (src.min() < 0 or src.max() >= n):
+    if src.min() < 0 or src.max() >= n:
         raise ParameterError(f"source out of range [0, {n})")
-
-    dist = np.full((K, n), np.inf)
-    flat = dist.reshape(-1)
-    queued = np.zeros(K * n, dtype=bool)
-    row_bounds = np.arange(K + 1, dtype=_INT) * n
-    seeds = row_bounds[:-1] + src
-    flat[seeds] = 0.0
-    queued[seeds] = True
-    pull = not graph.directed
-
-    while True:
-        idx = np.flatnonzero(queued)
-        if idx.size == 0:
-            break
-        if algo != "bf":
-            keys = flat[idx]
-            starts = np.searchsorted(idx, row_bounds)
-            thetas = _lane_thetas(keys, starts, algo, param)
-            counts = np.diff(starts)
-            sel = keys <= np.repeat(thetas, counts)
-            idx = idx[sel]
-            if idx.size == 0:  # every lane's θ fell below its min key
-                raise ParameterError(f"fast path stalled (algo={algo}, param={param})")
-        queued[idx] = False
-        rows = idx // n
-        cols = idx - rows * n
-        targets, _, w, seg_starts, degs = gather_edges(graph, cols)
-        if len(targets) == 0:
-            continue
-        eidx = np.repeat(rows, degs) * n + targets
-        snap = flat[eidx]
-        if pull:
-            # Bidirectional pull: each frontier vertex takes the min over its
-            # neighbours before pushing, reusing the gathered edge arrays.
-            nonempty = degs > 0
-            mins = segmented_min(snap + w, seg_starts[nonempty])
-            vi = idx[nonempty]
-            np.minimum(flat[vi], mins, out=mins)
-            flat[vi] = mins
-        cand = np.repeat(flat[idx], degs) + w
-        # Pre-pull snapshot test: a candidate can only improve its target if
-        # it beats the value the target had before this step, so the
-        # sort-based scatter only sees the (small) potentially-improving set.
-        sub = np.flatnonzero(cand < snap)
-        if sub.size:
-            se = eidx[sub]
-            sc = cand[sub]
-            old = scatter_min(flat, se, sc)
-            queued[se[sc < old]] = True
-    return dist
+    return dijkstra(to_scipy_sparse(graph), directed=True, indices=src)

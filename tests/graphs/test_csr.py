@@ -157,6 +157,32 @@ class TestSymmetryCache:
         assert g.__dict__["is_symmetric"] is False
 
 
+class TestExactSums:
+    def test_integer_weights_exact_and_cached(self):
+        g = _triangle()
+        assert "exact_sums" not in g.__dict__
+        assert g.exact_sums is True
+        assert g.__dict__["exact_sums"] is True
+
+    def test_one_fractional_weight_is_inexact(self):
+        g = _triangle()
+        w = g.weights.copy()
+        w[1] = 2.5
+        assert Graph(g.indptr, g.indices, w).exact_sums is False
+
+    def test_sum_bound_at_two_to_the_53(self):
+        # 2 (n - 1) L must stay below 2**53: n = 3 gives 4 L.
+        g = _triangle()
+        below = np.full(g.m, 2.0**51 - 1)
+        at = np.full(g.m, 2.0**51)
+        assert Graph(g.indptr, g.indices, below).exact_sums is True
+        assert Graph(g.indptr, g.indices, at).exact_sums is False
+
+    def test_edgeless_graph_exact(self):
+        g = Graph.from_edges(4, np.array([]), np.array([]), np.array([]))
+        assert g.exact_sums is True
+
+
 class TestValidate:
     def test_negative_weight_rejected(self):
         g = _triangle()

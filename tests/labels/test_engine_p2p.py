@@ -16,9 +16,11 @@ import asyncio
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from repro.dynamic import UpdateBatch
-from repro.graphs import rmat
+from repro.graphs import Graph, rmat
+from repro.graphs.interop import to_scipy_sparse
 from repro.labels import LabelStore
 from repro.serving import QueryEngine, ShortestPathServer
 from repro.serving.cache import graph_id
@@ -90,6 +92,46 @@ class TestExactness:
         assert st["p2p_queries"] == 1
         assert st["label_builds"] == 1
         assert st["label_lookup"]["lookups"] == 1
+
+
+def _float_graph():
+    """80 vertices, 400 symmetrized uniform(0.1, 10) edges (seed 3)."""
+    rng = np.random.default_rng(3)
+    n = 80
+    src, dst = rng.integers(0, n, 400), rng.integers(0, n, 400)
+    w = rng.uniform(0.1, 10, 400)
+    return Graph.from_edges(n, src, dst, w, symmetrize=True)
+
+
+class TestRealWeights:
+    """Hub sums regroup float additions: real weights must not be hub-served."""
+
+    def test_float_weights_every_answer_equals_dijkstra(self):
+        g = _float_graph()
+        assert not g.exact_sums
+        ref = dijkstra(to_scipy_sparse(g), directed=True)
+        with QueryEngine(g, "rho", mode="p2p") as eng:
+            got = np.array([[eng.dist(s, t) for t in range(g.n)]
+                            for s in range(g.n)])
+            assert np.array_equal(got, ref)
+            lookup = eng.stats()["label_lookup"]
+        assert lookup["hub_served"] == lookup["landmark_served"] == 0
+        assert lookup["bound_violations"] == 0
+
+    def test_float_reweight_flips_serving_and_back(self, engine):
+        u, v, w = (int(x[0]) for x in engine.graph.edges())
+        engine.apply_updates(UpdateBatch(reweights=[(u, v, w + 0.5)]))
+        assert not engine.graph.exact_sums
+        served = engine.stats()["label_lookup"]["hub_served"]
+        rows = engine.query_batch([u, 7])
+        for i, s in enumerate((u, 7)):
+            for t in range(0, G.n, 3):
+                assert engine.dist(s, t) == rows[i, t]
+        assert engine.stats()["label_lookup"]["hub_served"] == served
+        engine.apply_updates(UpdateBatch(reweights=[(u, v, w)]))
+        assert engine.graph.exact_sums
+        assert engine.dist(u, v) == engine.query_batch([u])[0][v]
+        assert engine.stats()["label_lookup"]["hub_served"] == 1
 
 
 class TestBuildChaos:

@@ -4,7 +4,9 @@ The hypothesis sweep is the subsystem's strongest net: random weighted
 graphs (directed and undirected, connectivity not required), every pair
 ``(s, t)``, ``hub_distance == dijkstra_reference`` exactly — the pruning is
 provably lossless and the integer-weight contract makes the two different
-summation orders land on the same float.
+summation orders land on the same float.  A second sweep adds real weights
+and checks the *served* answer (``LabelIndex.dist``): off the integer
+contract the index must answer from exact rows, never from a hub sum.
 """
 
 import numpy as np
@@ -16,17 +18,27 @@ from repro.baselines import dijkstra_reference
 from repro.core.framework import stepping_sssp
 from repro.core.policies import BellmanFordPolicy, DeltaStarPolicy, RhoPolicy
 from repro.graphs import Graph, rmat, road_grid
-from repro.labels import HubLabels, build_hub_labels, hub_distance
+from repro.labels import (
+    HubLabels,
+    LabelBundle,
+    LabelIndex,
+    build_hub_labels,
+    build_landmarks,
+    hub_distance,
+)
 from repro.utils.errors import LabelFormatError
 
 
+_INTEGER_WEIGHTS = st.integers(1, 64).map(float)
+
+
 @st.composite
-def random_graphs(draw):
+def random_graphs(draw, weights=_INTEGER_WEIGHTS):
     n = draw(st.integers(2, 24))
     m = draw(st.integers(1, 90))
     src = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
     dst = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
-    w = draw(st.lists(st.integers(1, 64), min_size=m, max_size=m))
+    w = draw(st.lists(weights, min_size=m, max_size=m))
     directed = draw(st.booleans())
     return Graph.from_edges(
         n, np.array(src), np.array(dst), np.array(w, dtype=float),
@@ -45,6 +57,32 @@ def test_hub_lookup_equals_dijkstra_every_pair(g):
             assert d == ref[t] or (np.isinf(d) and np.isinf(ref[t])), (
                 f"hub_distance({s}, {t}) = {d!r}, Dijkstra says {ref[t]!r}"
             )
+
+
+@given(random_graphs(weights=st.one_of(
+    _INTEGER_WEIGHTS,
+    st.floats(min_value=2.0**-10, max_value=2.0**10, exclude_min=True),
+)))
+@settings(max_examples=60, deadline=None)
+def test_index_never_serves_wrong_on_real_weights(g):
+    # The served sweep over the whole accepted weight domain: on real
+    # weights a raw hub sum can round differently from the path-ordered
+    # distance, so the index must route around it — never serve it.
+    index = LabelIndex(g, LabelBundle(
+        fingerprint=g.fingerprint,
+        landmarks=build_landmarks(g, min(4, g.n)),
+        hubs=build_hub_labels(g),
+    ))
+    for s in range(g.n):
+        ref = dijkstra_reference(g, s)
+        for t in range(g.n):
+            d = index.dist(s, t)
+            assert d == ref[t] or (np.isinf(d) and np.isinf(ref[t])), (
+                f"index.dist({s}, {t}) = {d!r}, Dijkstra says {ref[t]!r}"
+            )
+    assert index.stats["bound_violations"] == 0
+    if g.exact_sums:
+        assert index.stats["fallbacks"] == 0
 
 
 @pytest.mark.parametrize("policy", [

@@ -1,9 +1,12 @@
-"""Dense fast path: distances must equal the metered scalar algorithms."""
+"""Native fast path: distances must equal the metered scalar algorithms."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import DEFAULT_RHO, bellman_ford, delta_star_stepping, rho_stepping
+from repro.graphs import Graph
 from repro.serving import multi_source_distances
 from repro.utils.errors import ParameterError
 
@@ -77,3 +80,58 @@ class TestValidation:
     def test_source_out_of_range(self, rmat_small):
         with pytest.raises(ParameterError):
             multi_source_distances(rmat_small, [rmat_small.n], algo="bf")
+
+
+# Real weights spanning ~15 binary orders of magnitude on either side of 1,
+# so path sums round and tiny edges can vanish into large distances.
+_WEIGHTS = st.one_of(
+    st.floats(min_value=2.0**-15, max_value=2.0**15, allow_nan=False,
+              allow_infinity=False, exclude_min=True),
+    st.integers(1, 64).map(float),
+)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A random graph over the whole accepted domain plus a source batch.
+
+    Real weights, parallel edges and self loops (``dedup=False``), directed
+    or undirected, connectivity not required (unreachable rows stay inf),
+    and duplicate sources in one batch.
+    """
+    n = draw(st.integers(1, 24))
+    m = draw(st.integers(0, 80))
+    src = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    dst = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    w = draw(st.lists(_WEIGHTS, min_size=m, max_size=m))
+    directed = draw(st.booleans())
+    g = Graph.from_edges(
+        n, np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64),
+        np.array(w, dtype=float), directed=directed,
+        symmetrize=not directed, dedup=draw(st.booleans()),
+    )
+    sources = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+    if len(sources) > 1:
+        sources.append(sources[0])  # always one duplicate source
+    return g, sources
+
+
+@given(oracle_cases(), st.sampled_from([1, 3, 64]),
+       st.sampled_from([2.0**-10, 1.0, 2.0**12]))
+@settings(max_examples=150, deadline=None)
+def test_native_executor_bit_identical_to_every_stepping_rule(case, rho, delta):
+    g, sources = case
+    expected = {
+        "rho": (rho, scalar_matrix(g, lambda g, s: rho_stepping(g, s, rho, seed=0),
+                                   sources)),
+        "delta": (delta, scalar_matrix(
+            g, lambda g, s: delta_star_stepping(g, s, delta, seed=0), sources)),
+        "bf": (None, scalar_matrix(g, lambda g, s: bellman_ford(g, s, seed=0),
+                                   sources)),
+    }
+    for algo, (param, ref) in expected.items():
+        out = multi_source_distances(g, sources, algo=algo, param=param)
+        assert out.shape == (len(sources), g.n)
+        # array_equal on float arrays: inf == inf, and every finite distance
+        # must match to the last bit.
+        assert np.array_equal(out, ref), algo
